@@ -11,17 +11,17 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use clio_bench::{chain, cycle, star};
-use clio_core::full_disjunction::FdAlgo;
+use clio_core::full_disjunction::engine_subsumption;
 
 fn bench_chains(c: &mut Criterion) {
     let mut group = c.benchmark_group("fd_chain");
     for n in [2usize, 4, 6, 8] {
         let w = chain(n, 100);
         group.bench_with_input(BenchmarkId::new("naive", n), &w, |b, w| {
-            b.iter(|| black_box(clio_bench::fd(w, FdAlgo::Naive)));
+            b.iter(|| black_box(clio_bench::fd_naive(w, engine_subsumption())));
         });
         group.bench_with_input(BenchmarkId::new("outer_join", n), &w, |b, w| {
-            b.iter(|| black_box(clio_bench::fd(w, FdAlgo::OuterJoin)));
+            b.iter(|| black_box(clio_bench::fd_outer_join(w)));
         });
     }
     group.finish();
@@ -32,10 +32,10 @@ fn bench_stars(c: &mut Criterion) {
     for n in [3usize, 5, 7] {
         let w = star(n, 100);
         group.bench_with_input(BenchmarkId::new("naive", n), &w, |b, w| {
-            b.iter(|| black_box(clio_bench::fd(w, FdAlgo::Naive)));
+            b.iter(|| black_box(clio_bench::fd_naive(w, engine_subsumption())));
         });
         group.bench_with_input(BenchmarkId::new("outer_join", n), &w, |b, w| {
-            b.iter(|| black_box(clio_bench::fd(w, FdAlgo::OuterJoin)));
+            b.iter(|| black_box(clio_bench::fd_outer_join(w)));
         });
     }
     group.finish();
@@ -46,10 +46,10 @@ fn bench_rows_scaling(c: &mut Criterion) {
     for rows in [100usize, 400, 1600] {
         let w = chain(4, rows);
         group.bench_with_input(BenchmarkId::new("naive", rows), &w, |b, w| {
-            b.iter(|| black_box(clio_bench::fd(w, FdAlgo::Naive)));
+            b.iter(|| black_box(clio_bench::fd_naive(w, engine_subsumption())));
         });
         group.bench_with_input(BenchmarkId::new("outer_join", rows), &w, |b, w| {
-            b.iter(|| black_box(clio_bench::fd(w, FdAlgo::OuterJoin)));
+            b.iter(|| black_box(clio_bench::fd_outer_join(w)));
         });
     }
     group.finish();
@@ -61,7 +61,7 @@ fn bench_cycles(c: &mut Criterion) {
     for n in [3usize, 4, 5] {
         let w = cycle(n, 100);
         group.bench_with_input(BenchmarkId::from_parameter(n), &w, |b, w| {
-            b.iter(|| black_box(clio_bench::fd(w, FdAlgo::Naive)));
+            b.iter(|| black_box(clio_bench::fd_naive(w, engine_subsumption())));
         });
     }
     group.finish();
@@ -77,7 +77,7 @@ fn bench_cycle_threads(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &w, |b, w| {
             b.iter(|| {
                 clio_relational::exec::with_threads(threads, || {
-                    black_box(clio_bench::fd(w, FdAlgo::Naive))
+                    black_box(clio_bench::fd_naive(w, engine_subsumption()))
                 })
             });
         });

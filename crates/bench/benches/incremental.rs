@@ -12,7 +12,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use clio_bench::{chain, cycle};
-use clio_core::full_disjunction::FdAlgo;
 use clio_core::incremental::full_disjunction_cached;
 use clio_core::session::Session;
 use clio_incr::{EvalCache, EvictionPolicy};
@@ -84,30 +83,30 @@ fn bench_cycle_partial_reuse(c: &mut Criterion) {
         b.iter(|| {
             cache.bump_epoch();
             black_box(
-                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
+                full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache))
                     .expect("valid")
                     .len(),
             )
         });
     });
     let cache = EvalCache::new();
-    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache)).expect("valid");
+    full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache)).expect("valid");
     group.bench_function("post_edit", |b| {
         b.iter(|| {
             cache.bump_version("R0");
             black_box(
-                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
+                full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache))
                     .expect("valid")
                     .len(),
             )
         });
     });
     let cache = EvalCache::new();
-    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache)).expect("valid");
+    full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache)).expect("valid");
     group.bench_function("warm", |b| {
         b.iter(|| {
             black_box(
-                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
+                full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache))
                     .expect("valid")
                     .len(),
             )
@@ -125,18 +124,17 @@ fn bench_eviction_policy_under_pressure(c: &mut Criterion) {
     let funcs = FuncRegistry::with_builtins();
     let w = cycle(4, 100);
     let probe = EvalCache::new();
-    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&probe)).expect("valid");
+    full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&probe)).expect("valid");
     let budget = (probe.stats().bytes / 2).max(1);
     for policy in [EvictionPolicy::Lru, EvictionPolicy::CostAware] {
         let cache = EvalCache::with_capacity(budget);
         cache.set_policy(policy);
-        full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
-            .expect("valid");
+        full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache)).expect("valid");
         group.bench_function(policy.name(), |b| {
             b.iter(|| {
                 cache.bump_version("R0");
                 black_box(
-                    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
+                    full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache))
                         .expect("valid")
                         .len(),
                 )

@@ -15,12 +15,16 @@ use clio_bench::{
     chain, chain_prefix_mapping, cycle, example_population, nullable_table, service_workload, star,
 };
 use clio_core::evolution::evolve_illustration;
-use clio_core::full_disjunction::FdAlgo;
+use clio_core::full_disjunction::{
+    engine_subsumption, full_disjunction_naive, full_disjunction_outer_join,
+};
 use clio_core::illustration::{select_exact, select_greedy, Illustration, SufficiencyScope};
+use clio_core::mapping::Mapping;
 use clio_core::operators::chase::data_chase;
 use clio_core::operators::walk::data_walk;
 use clio_datagen::synthetic::random_knowledge;
 use clio_incr::EvalCache;
+use clio_relational::database::Database;
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::index::{scan_occurrences, ValueIndex};
 use clio_relational::ops::{join, remove_subsumed_naive, remove_subsumed_partitioned, JoinKind};
@@ -90,11 +94,11 @@ fn b1_full_disjunction() {
                 star(n, rows)
             };
             let mut count = 0;
-            let naive = time(|| count = clio_bench::fd(&w, FdAlgo::Naive));
-            let outer = time(|| count = clio_bench::fd(&w, FdAlgo::OuterJoin));
+            let naive = time(|| count = clio_bench::fd_naive(&w, engine_subsumption()));
+            let outer = time(|| count = clio_bench::fd_outer_join(&w));
             let work = counted(|| {
-                let _ = clio_bench::fd(&w, FdAlgo::Naive);
-                let _ = clio_bench::fd(&w, FdAlgo::OuterJoin);
+                let _ = clio_bench::fd_naive(&w, engine_subsumption());
+                let _ = clio_bench::fd_outer_join(&w);
             });
             println!(
                 "| {name} | {n} | {rows} | {} | {} | {} | {count} | {} | {} |",
@@ -110,11 +114,11 @@ fn b1_full_disjunction() {
     for rows in [100usize, 400, 1600] {
         let w = chain(4, rows);
         let mut count = 0;
-        let naive = time(|| count = clio_bench::fd(&w, FdAlgo::Naive));
-        let outer = time(|| count = clio_bench::fd(&w, FdAlgo::OuterJoin));
+        let naive = time(|| count = clio_bench::fd_naive(&w, engine_subsumption()));
+        let outer = time(|| count = clio_bench::fd_outer_join(&w));
         let work = counted(|| {
-            let _ = clio_bench::fd(&w, FdAlgo::Naive);
-            let _ = clio_bench::fd(&w, FdAlgo::OuterJoin);
+            let _ = clio_bench::fd_naive(&w, engine_subsumption());
+            let _ = clio_bench::fd_outer_join(&w);
         });
         println!(
             "| chain | 4 | {rows} | {} | {} | {} | {count} | {} | {} |",
@@ -132,7 +136,7 @@ fn b1_full_disjunction() {
     for n in [3usize, 4, 5] {
         let w = cycle(n, 100);
         let mut count = 0;
-        let naive = time(|| count = clio_bench::fd(&w, FdAlgo::Naive));
+        let naive = time(|| count = clio_bench::fd_naive(&w, engine_subsumption()));
         println!("| {n} | 100 | {} | {count} |", fmt(naive));
     }
     // parallel naive: the per-subgraph F(J) evaluations fan out on the
@@ -146,7 +150,7 @@ fn b1_full_disjunction() {
         let timed = |threads: usize| {
             time(|| {
                 clio_relational::exec::with_threads(threads, || {
-                    std::hint::black_box(clio_bench::fd(&w, FdAlgo::Naive));
+                    std::hint::black_box(clio_bench::fd_naive(&w, engine_subsumption()));
                 });
             })
         };
@@ -1058,6 +1062,27 @@ fn b16_paged_backend() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The definitional mapping query (paper Def 3.14) over the reference
+/// `D(G)`: the outer-join chain on trees, the naive minimum union
+/// otherwise, projected with first-occurrence distinct — the oracle the
+/// plan executor is checked against.
+fn definitional_evaluate(m: &Mapping, db: &Database, funcs: &FuncRegistry) -> Table {
+    let d = if m.graph.is_tree() {
+        full_disjunction_outer_join(db, &m.graph, funcs)
+    } else {
+        full_disjunction_naive(db, &m.graph, funcs, engine_subsumption())
+    }
+    .expect("reference D(G)");
+    let eval = m.evaluator(db, funcs).expect("evaluator");
+    let mut out = Table::empty(m.target_scheme());
+    for i in 0..d.len() {
+        if let Some(row) = eval.target_row_if_passing(d.row(i), funcs).expect("row") {
+            out.push_distinct(row);
+        }
+    }
+    out
+}
+
 fn b17_planned_evaluation() {
     println!("\n## B17 — planner vs definitional evaluation on cyclic workloads\n");
     println!(
@@ -1073,8 +1098,8 @@ fn b17_planned_evaluation() {
             if filter != "(none)" {
                 m.source_filters.push(parse_expr(filter).expect("filter"));
             }
-            let baseline = m.evaluate(&w.db, &funcs).expect("definitional");
-            let planned = m.evaluate_planned(&w.db, &funcs).expect("planned");
+            let baseline = definitional_evaluate(&m, &w.db, &funcs);
+            let planned = m.evaluate(&w.db, &funcs).expect("planned");
             assert_eq!(
                 baseline.rows(),
                 planned.rows(),
@@ -1082,13 +1107,13 @@ fn b17_planned_evaluation() {
             );
             let out = planned.len();
             let def_t = time(|| {
-                std::hint::black_box(m.evaluate(&w.db, &funcs).expect("definitional").len());
+                std::hint::black_box(definitional_evaluate(&m, &w.db, &funcs).len());
             });
             let plan_t = time(|| {
-                std::hint::black_box(m.evaluate_planned(&w.db, &funcs).expect("planned").len());
+                std::hint::black_box(m.evaluate(&w.db, &funcs).expect("planned").len());
             });
             let work = counted(|| {
-                let _ = m.evaluate_planned(&w.db, &funcs);
+                let _ = m.evaluate(&w.db, &funcs);
             });
             println!(
                 "| {n} | {rows} | {filter} | {} | {} | {} | {} | {} | {out} |",

@@ -8,7 +8,7 @@
 use clio_core::association::AssociationSet;
 use clio_core::correspondence::ValueCorrespondence;
 use clio_core::focus::{focused_examples, Focus};
-use clio_core::full_disjunction::{full_associations, full_disjunction, FdAlgo};
+use clio_core::full_disjunction::{full_associations, full_disjunction};
 use clio_core::illustration::Illustration;
 use clio_core::mapping::Mapping;
 use clio_core::operators::chase::data_chase;
@@ -187,7 +187,7 @@ fn main() -> Result<()> {
     if wanted(&args, "f8") {
         heading("Figure 8: D(G) of the running graph, tagged with coverage");
         let g = running_graph();
-        let mut d = full_disjunction(&db, &g, FdAlgo::Auto, &funcs)?;
+        let mut d = full_disjunction(&db, &g, &funcs)?;
         d.sort_canonical(&g);
         print!("{}", d.render(&g));
     }

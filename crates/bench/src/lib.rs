@@ -9,7 +9,9 @@
 
 #![warn(missing_docs)]
 
-use clio_core::full_disjunction::{full_disjunction_naive, FdAlgo};
+use clio_core::full_disjunction::{
+    full_disjunction, full_disjunction_naive, full_disjunction_outer_join,
+};
 use clio_core::mapping::Mapping;
 use clio_datagen::synthetic::{generate, Synthetic, SyntheticSpec, Topology};
 use clio_relational::funcs::FuncRegistry;
@@ -146,12 +148,23 @@ pub fn fd_naive(w: &Synthetic, algo: SubsumptionAlgo) -> usize {
         .len()
 }
 
-/// Convenience: run any FD algorithm, returning the association count.
+/// Convenience: the engine's `D(G)` (the plan executor's choice of
+/// algorithm), returning the association count.
 #[must_use]
-pub fn fd(w: &Synthetic, algo: FdAlgo) -> usize {
+pub fn fd(w: &Synthetic) -> usize {
     let funcs = FuncRegistry::with_builtins();
-    clio_core::full_disjunction::full_disjunction(&w.db, &w.graph, algo, &funcs)
+    full_disjunction(&w.db, &w.graph, &funcs)
         .expect("valid workload")
+        .len()
+}
+
+/// Convenience: the outer-join `D(G)` (tree workloads only), returning
+/// the association count.
+#[must_use]
+pub fn fd_outer_join(w: &Synthetic) -> usize {
+    let funcs = FuncRegistry::with_builtins();
+    full_disjunction_outer_join(&w.db, &w.graph, &funcs)
+        .expect("valid tree workload")
         .len()
 }
 
@@ -189,9 +202,9 @@ mod tests {
 
     #[test]
     fn workloads_build() {
-        assert!(fd(&chain(3, 20), FdAlgo::Auto) > 0);
-        assert!(fd(&star(3, 20), FdAlgo::Auto) > 0);
-        assert!(fd(&cycle(4, 10), FdAlgo::Naive) > 0);
+        assert!(fd(&chain(3, 20)) > 0);
+        assert!(fd(&star(3, 20)) > 0);
+        assert!(fd(&cycle(4, 10)) > 0);
     }
 
     #[test]
@@ -204,7 +217,8 @@ mod tests {
     #[test]
     fn naive_and_optimized_fd_agree_on_bench_workloads() {
         let w = chain(4, 50);
-        assert_eq!(fd(&w, FdAlgo::Naive), fd(&w, FdAlgo::OuterJoin));
+        assert_eq!(fd_naive(&w, SubsumptionAlgo::Adaptive), fd_outer_join(&w));
+        assert_eq!(fd(&w), fd_outer_join(&w));
         assert_eq!(
             fd_naive(&w, SubsumptionAlgo::Naive),
             fd_naive(&w, SubsumptionAlgo::Partitioned)

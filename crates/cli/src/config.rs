@@ -80,9 +80,6 @@ pub struct CliConfig {
     /// `--mapping <file>`: MAP-language statement file loaded as the
     /// initial workspace (see `docs/planner.md`).
     pub mapping_file: Option<String>,
-    /// `--plan`: route mapping evaluation through the planner (filter
-    /// pushdown + warmth-ordered subgraphs; see `docs/planner.md`).
-    pub plan: bool,
     /// `--synthetic <spec>`: validated generator spec.
     pub synthetic: Option<SyntheticSpec>,
     /// `--metrics <file>`: counter JSON report path (`-` = stdout).
@@ -236,7 +233,6 @@ impl CliConfig {
                     cfg.mapping_file = Some(require_value(args, i, "--mapping")?);
                 }
                 "--trace" => cfg.trace = true,
-                "--plan" => cfg.plan = true,
                 "--no-cache" => cfg.no_cache = true,
                 "--trace-filter" => {
                     i += 1;
@@ -505,6 +501,8 @@ mod tests {
             "--mapping requires a value (see --help)"
         );
         assert_eq!(err(&["--wat"]), "unknown flag `--wat` (see --help)");
+        // the planner is the only executor: there is no switch for it
+        assert_eq!(err(&["--plan"]), "unknown flag `--plan` (see --help)");
         assert_eq!(
             err(&["--synthetic", "chain,4"]),
             "expected --synthetic <topology>,<relations>,<rows>"
@@ -604,13 +602,11 @@ mod tests {
     }
 
     #[test]
-    fn mapping_and_plan_flags() {
-        let cfg = CliConfig::parse(&argv(&["--mapping", "demo.map", "--plan"])).unwrap();
+    fn mapping_flag() {
+        let cfg = CliConfig::parse(&argv(&["--mapping", "demo.map"])).unwrap();
         assert_eq!(cfg.mapping_file.as_deref(), Some("demo.map"));
-        assert!(cfg.plan);
         let cfg = CliConfig::parse(&argv(&[])).unwrap();
         assert_eq!(cfg.mapping_file, None);
-        assert!(!cfg.plan, "planner routing is opt-in");
     }
 
     #[test]

@@ -280,9 +280,12 @@ fn cache_policy_flag_switches_the_session_policy() {
 
 #[test]
 fn unknown_flag_exits_2() {
-    let out = shell().arg("--bogus").output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    // the planner is the only executor: `--plan` is not a flag
+    for flag in ["--bogus", "--plan"] {
+        let out = shell().arg(flag).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    }
 }
 
 #[test]
@@ -483,6 +486,43 @@ fn cache_command_and_metrics_report_hits() {
     std::fs::remove_file(&metrics).ok();
     assert_eq!(counter(&json, "cache.hits"), 0, "{json}");
     assert_eq!(counter(&json, "cache.misses"), 0, "{json}");
+}
+
+#[test]
+fn cache_reports_a_warm_result_after_target_on_a_pushed_cycle() {
+    // a cyclic mapping with a pushable source filter: `target` runs the
+    // plan with the filter pushed below the union, and the `cache`
+    // warmth line must find the result it stored
+    let mapping = tmp_path("warm_cycle.map");
+    std::fs::write(
+        &mapping,
+        "target Kids (ID str not null, name str, affiliation str, address str, \
+         contactPh str, BusSchedule str, FamilyIncome int)\n\
+         node Children\nnode Parents\nnode PhoneDir\n\
+         edge Children -- Parents : Children.mid = Parents.ID\n\
+         edge Parents -- PhoneDir : PhoneDir.ID = Parents.ID\n\
+         edge Children -- PhoneDir : Children.mid = PhoneDir.ID\n\
+         corr Children.ID -> ID\ncorr Parents.affiliation -> affiliation\n\
+         corr PhoneDir.number -> contactPh\nwhere source Children.age < 7\n",
+    )
+    .expect("mapping written");
+    let script = tmp_path("warm_cycle.clio");
+    std::fs::write(
+        &script,
+        format!("load {}\nexplain\ntarget\ncache\nquit\n", mapping.display()),
+    )
+    .expect("script written");
+    let out = shell()
+        .arg("--script")
+        .arg(&script)
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&script).ok();
+    std::fs::remove_file(&mapping).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("1 filter(s) pushed"), "{stdout}");
+    assert!(stdout.contains("active Q(M): warm"), "{stdout}");
 }
 
 /// A mapping-building script with no introspection commands (`stats`,

@@ -1,7 +1,10 @@
 //! Full disjunction `D(G)` — the complete set of data associations of a
 //! query graph (paper Def 3.11; Galindo-Legaria \[4\]).
 //!
-//! Two algorithms:
+//! Two algorithms. The plan executor ([`crate::plan`]), the engine's
+//! only evaluation pipeline, runs the outer-join one on trees and its
+//! own memoized, scheduled form of the naive one on cyclic graphs; both
+//! functions here double as the reference oracles it is tested against:
 //!
 //! * [`full_disjunction_naive`] — the definitional computation:
 //!   `D(G) = F(J₁) ⊕ … ⊕ F(Jₖ)` over **all** induced connected subgraphs
@@ -28,20 +31,8 @@ use clio_relational::ops::{join, minimum_union_all, pad_to, select, JoinKind, Su
 use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
-use crate::query_graph::{NodeId, QueryGraph};
+use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
-
-/// Algorithm selector for computing `D(G)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FdAlgo {
-    /// Definitional: enumerate subgraphs, minimum-union their `F(J)`s.
-    Naive,
-    /// Full-outer-join plan; only valid for tree graphs.
-    OuterJoin,
-    /// Outer-join plan when the graph is a tree, naive otherwise.
-    #[default]
-    Auto,
-}
 
 /// Compute the **full data associations** `F(J)` of the induced connected
 /// subgraph given by `mask` (paper Def 3.5): the inner join of the
@@ -69,32 +60,13 @@ pub fn full_associations(
     }
 
     // connected order within the mask, starting from its lowest node
-    let start = mask.trailing_zeros() as usize;
-    let mut order: Vec<NodeId> = vec![start];
-    let mut seen = 1u64 << start;
-    let mut i = 0;
-    while i < order.len() {
-        for m in graph.neighbors(order[i]) {
-            let bit = 1u64 << m;
-            if mask & bit != 0 && seen & bit == 0 {
-                seen |= bit;
-                order.push(m);
-            }
-        }
-        i += 1;
-    }
-    debug_assert_eq!(seen, mask);
-
+    let order = graph.subset_order(mask);
     let mut acc = graph.node_table(db, order[0])?;
     let mut included = 1u64 << order[0];
     for &n in &order[1..] {
         // all edges from n into the included set form the join condition
         let preds: Vec<Expr> = graph
-            .edges()
-            .iter()
-            .filter(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
+            .edges_into(n, included)
             .map(|e| e.predicate.clone())
             .collect();
         debug_assert!(!preds.is_empty(), "connected order guarantees an edge");
@@ -161,11 +133,8 @@ pub fn full_disjunction_outer_join(
     let mut included = 1u64 << order[0];
     for &n in &order[1..] {
         let edge = graph
-            .edges()
-            .iter()
-            .find(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
+            .edges_into(n, included)
+            .next()
             .expect("tree + connected order guarantee exactly one edge");
         acc = join(
             &acc,
@@ -190,26 +159,17 @@ pub fn engine_subsumption() -> SubsumptionAlgo {
     SubsumptionAlgo::default() // Adaptive
 }
 
-/// Compute `D(G)` with the selected algorithm. `Auto` resolves to the
-/// outer-join plan on trees and the naive plan otherwise; the naive
-/// plan's subsumption pass uses [`engine_subsumption`] (adaptive).
+/// Compute `D(G)` the way the engine does: through the plan executor
+/// ([`crate::plan`]) with no cache — the outer-join plan on trees, the
+/// minimum union over every connected subgraph (with
+/// [`engine_subsumption`]) otherwise. Byte-identical to
+/// [`crate::incremental::full_disjunction_cached`] under any cache.
 pub fn full_disjunction(
     db: &Database,
     graph: &QueryGraph,
-    algo: FdAlgo,
     funcs: &FuncRegistry,
 ) -> Result<AssociationSet> {
-    let algo = match algo {
-        FdAlgo::Auto if graph.is_tree() => FdAlgo::OuterJoin,
-        FdAlgo::Auto => FdAlgo::Naive,
-        chosen => chosen,
-    };
-    match algo {
-        FdAlgo::Naive | FdAlgo::Auto => {
-            full_disjunction_naive(db, graph, funcs, engine_subsumption())
-        }
-        FdAlgo::OuterJoin => full_disjunction_outer_join(db, graph, funcs),
-    }
+    crate::incremental::full_disjunction_cached(db, graph, funcs, None)
 }
 
 /// Apply the paper's Def 3.5 `σ_P(R₁ × … × Rₙ)` literally for the *whole*
@@ -359,15 +319,15 @@ mod tests {
         g.add_edge(0, 2, parse_expr("Children.ID = PhoneDir.ID").unwrap())
             .unwrap();
         assert!(full_disjunction_outer_join(&db(), &g, &funcs()).is_err());
-        // but auto dispatch falls back to naive
-        full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
+        // but the engine's plan falls back to the minimum union
+        full_disjunction(&db(), &g, &funcs()).unwrap();
     }
 
     #[test]
-    fn auto_uses_outer_join_on_trees() {
+    fn engine_fd_agrees_with_naive_on_trees() {
         let g = path_graph();
-        let mut a = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
-        let mut b = full_disjunction(&db(), &g, FdAlgo::Naive, &funcs()).unwrap();
+        let mut a = full_disjunction(&db(), &g, &funcs()).unwrap();
+        let mut b = full_disjunction_naive(&db(), &g, &funcs(), engine_subsumption()).unwrap();
         a.sort_canonical(&g);
         b.sort_canonical(&g);
         assert_eq!(a.table().rows(), b.table().rows());
@@ -377,7 +337,7 @@ mod tests {
     fn single_node_graph_fd_is_the_relation() {
         let mut g = QueryGraph::new();
         g.add_node(Node::new("Parents")).unwrap();
-        let d = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
+        let d = full_disjunction(&db(), &g, &funcs()).unwrap();
         assert_eq!(d.len(), 4);
         assert!(d.categories() == vec![0b1]);
     }
@@ -456,7 +416,7 @@ mod tests {
         g.add_node(Node::new("A")).unwrap();
         g.add_node(Node::new("B")).unwrap();
         g.add_edge(0, 1, parse_expr("A.x = B.x").unwrap()).unwrap();
-        let d = full_disjunction(&db, &g, FdAlgo::Auto, &funcs()).unwrap();
+        let d = full_disjunction(&db, &g, &funcs()).unwrap();
         assert_eq!(d.len(), 2);
         assert_eq!(d.categories(), vec![0b01, 0b10]);
         // every association is half-null

@@ -17,25 +17,22 @@
 //! * `Q(M)` — the evaluated mapping query per full mapping state
 //!   (graph + correspondences + source filters + target filters).
 //!
-//! Every cached path is byte-identical to the uncached one: lookups are
-//! keyed by exactly the ingredients the computation reads, assembly
-//! happens in the same canonical order, and a property test in
-//! `tests/properties.rs` replays random operator sequences cache-on vs.
-//! cache-off. See `docs/incremental.md` for the full scheme.
+//! Caching is answer-invisible: the plan executor ([`crate::plan`]) is
+//! the only evaluation pipeline, and without a cache it runs the same
+//! code with every lookup missing. Lookups are keyed by exactly the
+//! ingredients the computation reads, assembly happens in the same
+//! canonical order, and a property test in `tests/properties.rs`
+//! replays random operator sequences cache-on vs. cache-off. See
+//! `docs/incremental.md` for the full scheme.
 
-use clio_incr::{EvalCache, Fingerprint, FingerprintBuilder, LookupTier};
-use clio_obs::metrics::{self, Counter};
+use clio_incr::{EvalCache, Fingerprint, FingerprintBuilder};
 use clio_relational::database::Database;
 use clio_relational::error::Result;
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{minimum_union_all, pad_to};
-use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
-use crate::full_disjunction::{
-    engine_subsumption, full_associations, full_disjunction, full_disjunction_outer_join, FdAlgo,
-};
 use crate::mapping::Mapping;
+use crate::plan::{full_disjunction_stage, BranchInfo, PlanAlgo};
 use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
 
@@ -95,22 +92,10 @@ pub fn graph_fingerprint(graph: &QueryGraph, cache: &EvalCache, tag: &str) -> Fi
 
 /// Fingerprint of a full mapping query `Q(M)`: the graph plus the
 /// correspondences, source filters, target filters, and target schema.
+/// The plan executor stores every `Q(M)` result under it.
 #[must_use]
 pub fn mapping_fingerprint(mapping: &Mapping, cache: &EvalCache) -> Fingerprint {
-    mapping_fingerprint_tagged(mapping, cache, "Q(M)")
-}
-
-/// [`mapping_fingerprint`] under a caller-chosen domain tag. The planned
-/// evaluator stores its results under `"Q(M).plan"` so the two pipelines
-/// never serve each other's entries even though they are byte-identical
-/// by construction — a deliberate safety margin, not a semantic need.
-#[must_use]
-pub(crate) fn mapping_fingerprint_tagged(
-    mapping: &Mapping,
-    cache: &EvalCache,
-    tag: &str,
-) -> Fingerprint {
-    let mut fp = FingerprintBuilder::new(tag);
+    let mut fp = FingerprintBuilder::new("Q(M)");
     hash_graph(&mut fp, &mapping.graph, cache);
     for v in &mapping.correspondences {
         fp.text(&v.expr.to_string()).text(&v.target_attr);
@@ -135,199 +120,29 @@ pub fn relation_deps(graph: &QueryGraph) -> Vec<String> {
     deps
 }
 
-pub(crate) fn mask_deps(graph: &QueryGraph, mask: u64) -> Vec<String> {
-    let mut deps: Vec<String> = graph
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| mask & (1 << i) != 0)
-        .map(|(_, n)| n.relation.clone())
-        .collect();
-    deps.sort_unstable();
-    deps.dedup();
-    deps
-}
-
-/// Row-count fallback when no sibling cost history exists: the product
-/// of the member relations' sizes (saturating), a proxy for the join
-/// work `full_associations` will do on the subgraph.
-pub(crate) fn heuristic_cost(db: &Database, graph: &QueryGraph, mask: u64) -> u64 {
-    let mut est: u64 = 1;
-    for (i, n) in graph.nodes().iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            let rows = db.relation(&n.relation).map_or(1, |r| r.len() as u64);
-            est = est.saturating_mul(rows.max(1));
-        }
-    }
-    est
-}
-
-/// The naive `D(G)` plan with per-subgraph memoization and
-/// warmth-guided scheduling. A non-promoting [`EvalCache::peek`] scan
-/// first plans the fan-out: expected-warm subgraphs will be served
-/// inline, expected-cold ones get a cost estimate (sibling-entry
-/// history via [`EvalCache::estimate_cost`], falling back to a
-/// row-count heuristic). The counted lookups then run in canonical
-/// subgraph order — counter semantics identical to the unscheduled plan
-/// — and the misses are dispatched to the worker pool
-/// longest-estimated-first, so a straggler subgraph no longer
-/// serializes the tail of the fan-out. Each computed subgraph's
-/// recompute time is measured and recorded on its cache entry, feeding
-/// cost-aware eviction. Assembly — padding then one n-ary minimum union
-/// — runs in the same order as the uncached plan, so the output is
-/// byte-identical. `fd.subgraphs` counts only the subgraphs actually
-/// computed.
-///
-/// Returns the association set together with the summed compute time of
-/// the subgraphs evaluated this call, so the caller can charge its own
-/// graph-level cache entry the *exclusive* assembly cost rather than
-/// double-counting work already priced on the children.
-fn full_disjunction_naive_cached(
-    db: &Database,
-    graph: &QueryGraph,
-    funcs: &FuncRegistry,
-    cache: &EvalCache,
-) -> Result<(AssociationSet, u64)> {
-    let _span = clio_obs::span("fd.naive");
-    let scheme = graph.scheme(db)?;
-    let masks = connected_subsets(graph);
-    let fps: Vec<Fingerprint> = masks
-        .iter()
-        .map(|&mask| subgraph_fingerprint(graph, mask, cache))
-        .collect();
-    // Warmth pre-probe: peek perturbs no recency/priority order and
-    // counts nothing, so planning the dispatch cannot change which
-    // entries the eviction policy keeps. Estimates are pinned here,
-    // before any counted lookup warms the memory tier and shifts the
-    // sibling history mid-plan.
-    let estimates: Vec<u64> = masks
-        .iter()
-        .zip(&fps)
-        .map(|(&mask, &fp)| {
-            if cache.peek(fp).is_some() {
-                0 // expected warm: served inline below, never dispatched
-            } else {
-                cache
-                    .estimate_cost(&mask_deps(graph, mask))
-                    .unwrap_or_else(|| heuristic_cost(db, graph, mask))
-            }
-        })
-        .collect();
-    let mut slots: Vec<Option<Table>> = fps.iter().map(|&fp| cache.get(fp)).collect();
-    let missing: Vec<(usize, u64)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(i, _)| (i, masks[i]))
-        .collect();
-    let mut children_ns: u64 = 0;
-    if !missing.is_empty() {
-        // Longest-estimated-first dispatch; results return in input
-        // order, so the scheduling decision is answer-invisible.
-        let mut order: Vec<usize> = (0..missing.len()).collect();
-        order.sort_by_key(|&pos| (std::cmp::Reverse(estimates[missing[pos].0]), pos));
-        let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
-            &missing,
-            &order,
-            "fd.naive.worker",
-            |_, &(_, mask)| -> Result<(Table, u64)> {
-                // Unconditional timing (unlike hist::start, which is
-                // trace-gated): the cost model needs real measurements
-                // even when tracing is off.
-                let t0 = std::time::Instant::now();
-                let table = full_associations(db, graph, mask, funcs)?;
-                let cost_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                Ok((table, cost_ns))
-            },
-        )
-        .into_iter()
-        .collect::<Result<_>>()?;
-        metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
-        let tracing = clio_obs::trace::trace_enabled();
-        for (&(i, mask), (table, cost_ns)) in missing.iter().zip(&fresh) {
-            children_ns = children_ns.saturating_add(*cost_ns);
-            cache.insert_costed(
-                subgraph_fingerprint(graph, mask, cache),
-                mask_deps(graph, mask),
-                table,
-                *cost_ns,
-            );
-            if tracing {
-                clio_obs::hist::record("incr.fd.scheduled", *cost_ns);
-            }
-            slots[i] = Some(table.clone());
-        }
-    }
-    let padded: Vec<Table> = slots
-        .iter()
-        .map(|t| pad_to(t.as_ref().expect("all slots filled"), &scheme))
-        .collect::<Result<_>>()?;
-    let refs: Vec<&Table> = padded.iter().collect();
-    let table = minimum_union_all(&refs, engine_subsumption())?;
-    Ok((AssociationSet::from_table(graph, table), children_ns))
-}
-
-/// Compute `D(G)` through the cache. `cache: None` (or a disabled
-/// cache) takes exactly the uncached [`full_disjunction`] path. With a
-/// live cache, the assembled result is memoized per graph+algorithm,
-/// and the naive plan additionally memoizes per-subgraph `F(J)`s so an
-/// edit to one relation recomputes only the subgraphs touching it.
+/// Compute `D(G)` through the cache: the graph's plan — the outer-join
+/// chain on trees, the minimum union over every connected subgraph
+/// otherwise — run by the plan executor. The assembled result is
+/// memoized per graph and strategy, and the minimum-union plan
+/// additionally memoizes each subgraph's `F(J)`, so an edit to one
+/// relation recomputes only the subgraphs touching it. `cache: None`
+/// (or a disabled cache) runs the same code with every lookup missing.
 pub fn full_disjunction_cached(
     db: &Database,
     graph: &QueryGraph,
-    algo: FdAlgo,
     funcs: &FuncRegistry,
     cache: Option<&EvalCache>,
 ) -> Result<AssociationSet> {
-    let Some(cache) = cache.filter(|c| c.enabled()) else {
-        return full_disjunction(db, graph, algo, funcs);
-    };
-    let algo = match algo {
-        FdAlgo::Auto if graph.is_tree() => FdAlgo::OuterJoin,
-        FdAlgo::Auto => FdAlgo::Naive,
-        chosen => chosen,
-    };
-    let _span = clio_obs::span("incr.fd");
-    let tag = match algo {
-        FdAlgo::OuterJoin => "D(G).tree",
-        _ => "D(G).naive",
-    };
-    let fp = graph_fingerprint(graph, cache, tag);
-    // Cache-tier timing: while tracing is on, the whole lookup — and,
-    // on a miss, the recompute + insert — lands in a per-tier latency
-    // histogram, the cost data the recompute-cost eviction model wants.
-    let timer = clio_obs::hist::start();
-    let (cached, tier) = cache.get_tiered(fp);
-    if let Some(table) = cached {
-        clio_obs::hist::finish(
-            match tier {
-                LookupTier::Memory => "incr.fd.memory_hit",
-                _ => "incr.fd.disk_hit",
-            },
-            timer,
-        );
-        return Ok(AssociationSet::from_table(graph, table));
-    }
-    let t0 = std::time::Instant::now();
-    // The naive plan memoizes its subgraphs individually, so the
-    // graph-level entry is charged only the exclusive assembly cost
-    // (padding + minimum union); the tree plan has no cached children
-    // and carries its full compute time.
-    let (set, children_ns) = match algo {
-        FdAlgo::OuterJoin => (full_disjunction_outer_join(db, graph, funcs)?, 0),
-        _ => full_disjunction_naive_cached(db, graph, funcs, cache)?,
-    };
-    let cost_ns = u64::try_from(t0.elapsed().as_nanos())
-        .unwrap_or(u64::MAX)
-        .saturating_sub(children_ns);
-    cache.insert_costed(fp, relation_deps(graph), set.table(), cost_ns);
-    clio_obs::hist::finish("incr.fd.cold", timer);
-    Ok(set)
+    let cache = cache.filter(|c| c.enabled());
+    let algo = PlanAlgo::for_graph(graph);
+    let branches = || BranchInfo::probe(db, graph, &connected_subsets(graph), cache);
+    full_disjunction_stage(db, graph, algo, branches, &[], &[], funcs, cache)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::full_disjunction::full_disjunction;
     use crate::query_graph::Node;
     use clio_relational::parser::parse_expr;
     use clio_relational::relation::RelationBuilder;
@@ -396,11 +211,9 @@ mod tests {
     fn cached_fd_is_byte_identical_on_trees_and_cycles() {
         for g in [tree_graph(), cyclic_graph()] {
             let cache = EvalCache::new();
-            let plain = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
+            let plain = full_disjunction(&db(), &g, &funcs()).unwrap();
             for _ in 0..2 {
-                let cached =
-                    full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache))
-                        .unwrap();
+                let cached = full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
                 assert_eq!(plain.table().scheme(), cached.table().scheme());
                 assert_eq!(plain.table().rows(), cached.table().rows());
             }
@@ -412,11 +225,11 @@ mod tests {
     fn version_bump_recomputes_only_affected_subgraphs() {
         let g = cyclic_graph();
         let cache = EvalCache::new();
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
         let cold_misses = cache.stats().misses;
         // a PhoneDir edit keeps every Children/Parents-only subgraph
         cache.bump_version("PhoneDir");
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
         let warm = cache.stats();
         let warm_misses = warm.misses - cold_misses;
         assert!(
@@ -427,9 +240,8 @@ mod tests {
         assert!(warm.hits >= 1, "untouched subgraphs must be served");
         assert!(warm.invalidations >= 1);
         // and the recomputed result is still correct
-        let plain = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
-        let cached =
-            full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        let plain = full_disjunction(&db(), &g, &funcs()).unwrap();
+        let cached = full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
         assert_eq!(plain.table().rows(), cached.table().rows());
     }
 
@@ -443,12 +255,12 @@ mod tests {
         let store = std::sync::Arc::new(clio_incr::MemStore::new());
         cache.set_store(Some(store));
         // cold: computes and spills
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
         // disk hit: memory dropped, the store answers
         cache.clear();
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
         // memory hit: the disk load warmed the memory tier
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
         clio_obs::set_trace_enabled(false);
         let _ = clio_obs::take_spans();
         clio_obs::clear_events();
@@ -465,6 +277,19 @@ mod tests {
         assert!(s.hits >= 1, "memory tier never hit: {s:?}");
     }
 
+    /// The histograms `f` alone records: it runs under a private
+    /// session label, so concurrent tests tracing into the global table
+    /// cannot leak into the counts.
+    fn private_histograms(
+        label: u64,
+        f: impl FnOnce(),
+    ) -> Vec<(&'static str, clio_obs::HistSnapshot)> {
+        clio_obs::metrics::with_session(Some(label), || {
+            f();
+            clio_obs::hist::context_histograms()
+        })
+    }
+
     #[test]
     fn cold_runs_record_entry_costs_and_scheduled_histogram() {
         let _guard = crate::obs_testutil::lock();
@@ -472,11 +297,12 @@ mod tests {
         clio_obs::clear_histograms();
         let g = cyclic_graph(); // non-tree: takes the scheduled naive plan
         let cache = EvalCache::new();
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        let hists = private_histograms(0xC01D, || {
+            full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
+        });
         clio_obs::set_trace_enabled(false);
         let _ = clio_obs::take_spans();
         clio_obs::clear_events();
-        let hists = clio_obs::snapshot_histograms();
         clio_obs::clear_histograms();
         let (_, h) = hists
             .iter()
@@ -497,16 +323,16 @@ mod tests {
         clio_obs::set_trace_enabled(true);
         let g = cyclic_graph();
         let cache = EvalCache::new();
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
-        clio_obs::clear_histograms();
+        full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
         // a PhoneDir edit leaves the Children/Parents subgraphs warm:
         // only the PhoneDir-touching ones may be scheduled
         cache.bump_version("PhoneDir");
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        let hists = private_histograms(0x3A73, || {
+            full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
+        });
         clio_obs::set_trace_enabled(false);
         let _ = clio_obs::take_spans();
         clio_obs::clear_events();
-        let hists = clio_obs::snapshot_histograms();
         clio_obs::clear_histograms();
         let scheduled = hists
             .iter()
@@ -521,16 +347,15 @@ mod tests {
     }
 
     #[test]
-    fn none_and_disabled_caches_bypass_entirely() {
-        let g = tree_graph();
-        let plain = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
-        let none = full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), None).unwrap();
-        assert_eq!(plain.table().rows(), none.table().rows());
-        let cache = EvalCache::new();
-        cache.set_enabled(false);
-        let off = full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
-        assert_eq!(plain.table().rows(), off.table().rows());
-        assert_eq!(cache.stats().entries, 0);
+    fn none_and_disabled_caches_store_nothing() {
+        for g in [tree_graph(), cyclic_graph()] {
+            let plain = full_disjunction(&db(), &g, &funcs()).unwrap();
+            let cache = EvalCache::new();
+            cache.set_enabled(false);
+            let off = full_disjunction_cached(&db(), &g, &funcs(), Some(&cache)).unwrap();
+            assert_eq!(plain.table().rows(), off.table().rows());
+            assert_eq!(cache.stats().entries, 0);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod prelude {
     pub use crate::focus::{focused_examples, is_focused, Focus};
     pub use crate::full_disjunction::{
         engine_subsumption, full_associations, full_disjunction, full_disjunction_naive,
-        full_disjunction_outer_join, FdAlgo,
+        full_disjunction_outer_join,
     };
     pub use crate::illustration::{
         is_sufficient, requirements, select_exact, select_greedy, Illustration, Requirement,

@@ -15,10 +15,12 @@
 //! ) WHERE c_t1 AND ... AND c_tl
 //! ```
 //!
-//! evaluated here directly over the materialized full disjunction.
+//! evaluated by the plan executor ([`crate::plan`]) over the
+//! materialized full disjunction.
 
 use std::fmt;
 
+use clio_incr::EvalCache;
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
@@ -30,7 +32,7 @@ use clio_relational::value::Value;
 use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::example::Example;
-use crate::full_disjunction::{full_disjunction, FdAlgo};
+use crate::plan::Plan;
 use crate::query_graph::QueryGraph;
 
 /// A schema mapping from a set of source relations to one target relation.
@@ -221,26 +223,16 @@ impl Mapping {
         Ok(())
     }
 
-    /// Materialize the data associations `D(G)` of this mapping's graph.
+    /// Materialize the data associations `D(G)` of this mapping's graph,
+    /// routed through an incremental cache when one is given (see
+    /// [`crate::incremental::full_disjunction_cached`]).
     pub fn associations(
         &self,
         db: &Database,
-        algo: FdAlgo,
         funcs: &FuncRegistry,
+        cache: Option<&EvalCache>,
     ) -> Result<AssociationSet> {
-        full_disjunction(db, &self.graph, algo, funcs)
-    }
-
-    /// Like [`Mapping::associations`], routed through an incremental
-    /// cache. `None` (or a disabled cache) is exactly the uncached path.
-    pub fn associations_cached(
-        &self,
-        db: &Database,
-        algo: FdAlgo,
-        funcs: &FuncRegistry,
-        cache: Option<&clio_incr::EvalCache>,
-    ) -> Result<AssociationSet> {
-        crate::incremental::full_disjunction_cached(db, &self.graph, algo, funcs, cache)
+        crate::incremental::full_disjunction_cached(db, &self.graph, funcs, cache)
     }
 
     /// Prepare an evaluator with all expressions bound.
@@ -254,75 +246,26 @@ impl Mapping {
         self.evaluate_cached(db, funcs, None)
     }
 
-    /// Like [`Mapping::evaluate`], routed through an incremental cache:
-    /// the result table is memoized per full mapping state, and the
-    /// underlying `D(G)` per graph, so repeating an evaluation — or
-    /// re-evaluating after a change that left the graph intact — skips
-    /// the joins. `None` is exactly the uncached path.
+    /// Like [`Mapping::evaluate`], routed through an incremental cache.
+    /// A memoized result (keyed by
+    /// [`mapping_fingerprint`](crate::incremental::mapping_fingerprint))
+    /// is returned without building a plan; on a miss the mapping's
+    /// [`Plan`] runs, serving `D(G)` and each subgraph's `F(J)` from the
+    /// cache where it can. `None` (or a disabled cache) runs the same
+    /// plan with every lookup missing.
     pub fn evaluate_cached(
         &self,
         db: &Database,
         funcs: &FuncRegistry,
-        cache: Option<&clio_incr::EvalCache>,
+        cache: Option<&EvalCache>,
     ) -> Result<Table> {
         let _span = clio_obs::span("mapping.evaluate");
-        let cache = cache.filter(|c| c.enabled());
-        let fp = cache.map(|c| crate::incremental::mapping_fingerprint(self, c));
-        if let (Some(c), Some(fp)) = (cache, fp) {
-            if let Some(table) = c.get(fp) {
+        if let Some(c) = cache.filter(|c| c.enabled()) {
+            if let Some(table) = c.get(crate::incremental::mapping_fingerprint(self, c)) {
                 return Ok(table);
             }
         }
-        let t0 = std::time::Instant::now();
-        let assocs = self.associations_cached(db, FdAlgo::Auto, funcs, cache)?;
-        // Exclusive cost: the association step memoizes its own layers,
-        // so this entry is charged only the projection/filter work a
-        // recompute would redo when those layers are warm. Charging the
-        // whole pipeline would double-count the children and hand this
-        // low-reuse aggregate an inflated eviction priority.
-        let inner_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let eval = self.evaluator(db, funcs)?;
-        let mut out = Table::empty(self.target_scheme());
-        for i in 0..assocs.len() {
-            if let Some(row) = eval.target_row_if_passing(assocs.row(i), funcs)? {
-                out.push_distinct(row);
-            }
-        }
-        if let (Some(c), Some(fp)) = (cache, fp) {
-            let cost_ns = u64::try_from(t0.elapsed().as_nanos())
-                .unwrap_or(u64::MAX)
-                .saturating_sub(inner_ns);
-            c.insert_costed(
-                fp,
-                crate::incremental::relation_deps(&self.graph),
-                &out,
-                cost_ns,
-            );
-        }
-        Ok(out)
-    }
-
-    /// Evaluate the mapping query through the planner: build a
-    /// [`Plan`](crate::plan::Plan), apply its rewrites (filter pushdown
-    /// past the minimum union, warmth-guided subgraph ordering), and
-    /// run it. Byte-identical to [`Mapping::evaluate`] by construction;
-    /// a property test in `tests/properties.rs` pins this.
-    pub fn evaluate_planned(&self, db: &Database, funcs: &FuncRegistry) -> Result<Table> {
-        self.evaluate_planned_cached(db, funcs, None)
-    }
-
-    /// Like [`Mapping::evaluate_planned`], with the per-subgraph `F(J)`
-    /// layers and the final result served from an incremental cache.
-    /// The result entry lives under a `"Q(M).plan"` fingerprint,
-    /// distinct from the definitional `"Q(M)"` entry.
-    pub fn evaluate_planned_cached(
-        &self,
-        db: &Database,
-        funcs: &FuncRegistry,
-        cache: Option<&clio_incr::EvalCache>,
-    ) -> Result<Table> {
-        let plan = crate::plan::Plan::new(self, db, funcs, cache)?;
-        plan.evaluate(db, funcs, cache)
+        Plan::new(self, db, funcs, cache)?.evaluate(db, funcs, cache)
     }
 
     /// Generate all examples of the mapping (paper Def 4.1): one per data
@@ -338,10 +281,10 @@ impl Mapping {
         &self,
         db: &Database,
         funcs: &FuncRegistry,
-        cache: Option<&clio_incr::EvalCache>,
+        cache: Option<&EvalCache>,
     ) -> Result<Vec<Example>> {
         let _span = clio_obs::span("mapping.examples");
-        let assocs = self.associations_cached(db, FdAlgo::Auto, funcs, cache)?;
+        let assocs = self.associations(db, funcs, cache)?;
         self.examples_for(&assocs, db, funcs)
     }
 

@@ -85,7 +85,7 @@ pub fn trim_effect(
     db: &Database,
     funcs: &FuncRegistry,
 ) -> Result<TrimEffect> {
-    let assocs = before.associations(db, crate::full_disjunction::FdAlgo::Auto, funcs)?;
+    let assocs = before.associations(db, funcs, None)?;
     let eb = before.examples_for(&assocs, db, funcs)?;
     let ea = after.examples_for(&assocs, db, funcs)?;
     debug_assert_eq!(eb.len(), ea.len());

@@ -1,12 +1,13 @@
 //! Plan-based mapping evaluation: a typed relational-algebra IR over
-//! mapping queries, two rewrites, and an executor that is byte-identical
-//! to the definitional pipeline.
+//! mapping queries, two rewrites, and the executor — the engine's only
+//! `D(G)` / `Q(M)` evaluation pipeline.
 //!
 //! [`Plan::new`] lowers a [`Mapping`] into a [`RelExpr`] tree describing
-//! exactly the work [`Mapping::evaluate`] performs — per-subgraph `F(J)`
-//! join chains (or the left-deep outer-join chain on trees), the minimum
-//! union, source/target filters, and the projection onto the target
-//! schema. Two rewrites then improve the tree:
+//! the work of the paper's definitional mapping query (Def 3.14) —
+//! per-subgraph `F(J)` join chains (or the left-deep outer-join chain on
+//! trees), the minimum union, source/target filters, and the projection
+//! onto the target schema. The tree-vs-cycle choice is the plan's own
+//! [`PlanAlgo`] decision. Two rewrites then improve the tree:
 //!
 //! 1. **Filter pushdown.** A source filter that is *strong* (not true on
 //!    an all-null row, [`Expr::is_strong`]) and *extension-stable* (once
@@ -23,22 +24,26 @@
 //!    only some aliases stay unfiltered; the authoritative top-level
 //!    filters run regardless, so the rewrite only shrinks intermediate
 //!    results and can never change the answer.
-//! 2. **Warmth-guided subgraph ordering.** With a cache at hand, each
-//!    surviving subgraph is classified warm/cold via a non-promoting
-//!    [`EvalCache::peek`] and priced via [`EvalCache::estimate_cost`]
-//!    (sibling cost history, falling back to a row-count heuristic).
-//!    The executor dispatches cold subgraphs longest-estimated-first so
-//!    a straggler cannot serialize the tail; assembly stays in canonical
-//!    subgraph order, keeping the output byte-identical.
+//! 2. **Warmth-guided subgraph ordering.** Each surviving subgraph is
+//!    classified warm/cold via a non-promoting [`EvalCache::peek`] and
+//!    priced via [`EvalCache::estimate_cost`] (sibling cost history,
+//!    falling back to a row-count heuristic). The executor dispatches
+//!    cold subgraphs longest-estimated-first so a straggler cannot
+//!    serialize the tail; assembly stays in canonical subgraph order, so
+//!    scheduling is answer-invisible.
 //!
-//! The executor reuses the per-subgraph `F(J)` cache entries of the
-//! incremental layer — entries hold *unfiltered* tables, pushed filters
-//! are applied after retrieval — and memoizes the final result under a
-//! `"Q(M).plan"` fingerprint, distinct from the definitional `"Q(M)"`
-//! entry. A property test in `tests/properties.rs` replays random
-//! graphs × random filters planned vs. definitional and asserts byte
-//! equality; `scripts/verify.sh` pins the same end-to-end through the
-//! CLI. See `docs/planner.md`.
+//! A plan whose rewrites did not fire *is* the definitional evaluation,
+//! and "no cache" (`None` or a disabled [`EvalCache`]) runs the same
+//! code with every lookup missing. With a cache, the executor shares
+//! the incremental layer's entries: per-subgraph `F(J)` tables (stored
+//! *unfiltered*; pushed filters are applied after retrieval), the
+//! assembled `D(G)` when nothing was pushed, and the final result under
+//! [`mapping_fingerprint`]. A property test in `tests/properties.rs`
+//! checks the executor against the reference oracles
+//! ([`full_disjunction_outer_join`], [`full_disjunction_naive`]) over
+//! random graphs × random filters. See `docs/planner.md`.
+//!
+//! [`full_disjunction_naive`]: crate::full_disjunction::full_disjunction_naive
 
 pub mod explain;
 pub mod ir;
@@ -46,8 +51,9 @@ pub mod ir;
 pub use ir::{is_extension_stable, FilterScope, RelExpr};
 
 use std::cmp::Reverse;
+use std::time::Instant;
 
-use clio_incr::{EvalCache, Fingerprint};
+use clio_incr::{EvalCache, LookupTier};
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::Result;
@@ -57,23 +63,43 @@ use clio_relational::ops::{minimum_union_all, pad_to};
 use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
-use crate::full_disjunction::{engine_subsumption, full_associations, FdAlgo};
+use crate::full_disjunction::{engine_subsumption, full_associations, full_disjunction_outer_join};
 use crate::incremental::{
-    full_disjunction_cached, heuristic_cost, mapping_fingerprint_tagged, mask_deps,
-    subgraph_fingerprint,
+    graph_fingerprint, mapping_fingerprint, relation_deps, subgraph_fingerprint,
 };
 use crate::mapping::Mapping;
 use crate::query_graph::{NodeId, QueryGraph};
 use crate::subgraph::connected_subsets;
 
-/// The full-disjunction strategy a plan commits to — the resolution of
-/// [`FdAlgo::Auto`] made explicit at plan time.
+/// The full-disjunction strategy a plan commits to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanAlgo {
     /// Tree graph: left-deep full outer joins, no subgraph enumeration.
     OuterJoin,
     /// Cyclic graph: minimum union over all induced connected subgraphs.
     Naive,
+}
+
+impl PlanAlgo {
+    /// The strategy for `graph`: outer joins on trees, the minimum union
+    /// otherwise.
+    #[must_use]
+    pub(crate) fn for_graph(graph: &QueryGraph) -> PlanAlgo {
+        if graph.is_tree() {
+            PlanAlgo::OuterJoin
+        } else {
+            PlanAlgo::Naive
+        }
+    }
+
+    /// The `D(G)` cache tag: the two strategies emit different row
+    /// orders, so they must not share entries.
+    fn tag(self) -> &'static str {
+        match self {
+            PlanAlgo::OuterJoin => "D(G).tree",
+            PlanAlgo::Naive => "D(G).naive",
+        }
+    }
 }
 
 /// Scheduling annotation for one surviving subgraph branch.
@@ -87,25 +113,57 @@ pub struct BranchInfo {
     pub warm: bool,
 }
 
+impl BranchInfo {
+    /// The warmth/estimate probe over `masks`: a non-promoting,
+    /// non-counting [`EvalCache::peek`] classifies each branch, and cold
+    /// ones are priced from sibling cost history, falling back to a
+    /// row-count heuristic (always, without a live cache). Probing
+    /// cannot change which entries the eviction policy keeps.
+    pub(crate) fn probe(
+        db: &Database,
+        graph: &QueryGraph,
+        masks: &[u64],
+        cache: Option<&EvalCache>,
+    ) -> Vec<BranchInfo> {
+        masks
+            .iter()
+            .map(|&mask| {
+                let warm = cache.is_some_and(|c| c.peek(subgraph_fingerprint(graph, mask, c)));
+                let estimate = if warm {
+                    0
+                } else {
+                    cache
+                        .and_then(|c| c.estimate_cost(&mask_deps(graph, mask)))
+                        .unwrap_or_else(|| heuristic_cost(db, graph, mask))
+                };
+                BranchInfo {
+                    mask,
+                    estimate,
+                    warm,
+                }
+            })
+            .collect()
+    }
+}
+
 /// An executable plan for one mapping query.
 ///
-/// Built by [`Plan::new`]; run with [`Plan::evaluate`] (byte-identical
-/// to [`Mapping::evaluate_cached`]); rendered with [`Plan::explain`].
+/// Built by [`Plan::new`]; run with [`Plan::evaluate`]; rendered with
+/// [`Plan::explain`]. [`Mapping::evaluate_cached`] is the usual entry
+/// point: it consults the result cache first and builds a plan only on
+/// a miss.
 #[derive(Debug, Clone)]
 pub struct Plan {
     mapping: Mapping,
     root: RelExpr,
     algo: PlanAlgo,
-    /// Surviving subgraph masks in canonical order (empty on trees),
-    /// parallel to the `Union` node's branches.
-    masks: Vec<u64>,
+    /// Surviving subgraph branches in canonical order (empty on trees),
+    /// parallel to the `Union` node's inputs.
     branches: Vec<BranchInfo>,
     pruned: usize,
     pushed: Vec<Expr>,
     /// Alias masks parallel to `pushed`.
     pushed_masks: Vec<u64>,
-    /// Positions into `masks`, longest-estimated-first dispatch order.
-    dispatch: Vec<usize>,
 }
 
 impl Plan {
@@ -122,13 +180,7 @@ impl Plan {
         let _span = clio_obs::span("plan.build");
         let graph = &mapping.graph;
         let scheme = graph.scheme(db)?;
-        // mirror FdAlgo::Auto exactly: the plan must describe the same
-        // computation the definitional evaluator would run
-        let algo = if graph.is_tree() {
-            PlanAlgo::OuterJoin
-        } else {
-            PlanAlgo::Naive
-        };
+        let algo = PlanAlgo::for_graph(graph);
 
         let mut masks: Vec<u64> = Vec::new();
         let mut pushed: Vec<Expr> = Vec::new();
@@ -161,15 +213,13 @@ impl Plan {
                     .iter()
                     .map(|&mask| {
                         let mut branch = subgraph_ir(graph, mask);
-                        for (f, &pm) in pushed.iter().zip(&pushed_masks) {
-                            if pm & mask == pm {
-                                branch = RelExpr::Filter {
-                                    input: Box::new(branch),
-                                    predicate: f.clone(),
-                                    scope: FilterScope::Source,
-                                    pushed: true,
-                                };
-                            }
+                        for f in applicable(&pushed, &pushed_masks, mask) {
+                            branch = RelExpr::Filter {
+                                input: Box::new(branch),
+                                predicate: f.clone(),
+                                scope: FilterScope::Source,
+                                pushed: true,
+                            };
                         }
                         branch
                     })
@@ -201,40 +251,10 @@ impl Plan {
         }
         root.check()?;
 
-        // warmth/estimate annotations + dispatch order (the second
-        // rewrite): answer-invisible, so a missing or cold cache only
-        // means heuristic estimates
-        let live = cache.filter(|c| c.enabled());
-        let branches: Vec<BranchInfo> = masks
-            .iter()
-            .map(|&mask| match live {
-                Some(c) => {
-                    let fp = subgraph_fingerprint(graph, mask, c);
-                    if c.peek(fp).is_some() {
-                        BranchInfo {
-                            mask,
-                            estimate: 0,
-                            warm: true,
-                        }
-                    } else {
-                        BranchInfo {
-                            mask,
-                            estimate: c
-                                .estimate_cost(&mask_deps(graph, mask))
-                                .unwrap_or_else(|| heuristic_cost(db, graph, mask)),
-                            warm: false,
-                        }
-                    }
-                }
-                None => BranchInfo {
-                    mask,
-                    estimate: heuristic_cost(db, graph, mask),
-                    warm: false,
-                },
-            })
-            .collect();
-        let mut dispatch: Vec<usize> = (0..masks.len()).collect();
-        dispatch.sort_by_key(|&p| (Reverse(branches[p].estimate), p));
+        // warmth/estimate annotations (the second rewrite):
+        // answer-invisible, so a missing or cold cache only means
+        // heuristic estimates
+        let branches = BranchInfo::probe(db, graph, &masks, cache.filter(|c| c.enabled()));
 
         metrics::incr(Counter::PlanBuilt);
         metrics::add(Counter::PlanPushedFilters, pushed.len() as u64);
@@ -243,12 +263,10 @@ impl Plan {
             mapping: mapping.clone(),
             root,
             algo,
-            masks,
             branches,
             pruned,
             pushed,
             pushed_masks,
-            dispatch,
         })
     }
 
@@ -288,147 +306,50 @@ impl Plan {
         explain::render(self)
     }
 
-    /// The data associations this plan's full-disjunction stage yields.
-    ///
-    /// Without pushed filters (or on trees) this *is* the definitional
-    /// cached path, graph-level memoization included. With pushed
-    /// filters the graph-level `D(G)` entry no longer matches what is
-    /// assembled, so the executor goes straight to the per-subgraph
-    /// entries, filters each retrieved `F(J)` with the pushed predicates
-    /// that bind on it, and unions the padded survivors in canonical
-    /// order.
+    /// The data associations this plan's full-disjunction stage yields:
+    /// `D(G)` itself when nothing was pushed (memoized per graph), else
+    /// the union of the surviving branches with their pushed filters
+    /// applied — which the top-level filters then trim to the same
+    /// answer.
     pub fn associations(
         &self,
         db: &Database,
         funcs: &FuncRegistry,
         cache: Option<&EvalCache>,
     ) -> Result<AssociationSet> {
-        if self.algo == PlanAlgo::OuterJoin || self.pushed.is_empty() {
-            return full_disjunction_cached(db, &self.mapping.graph, FdAlgo::Auto, funcs, cache);
-        }
-        self.associations_pushed(db, funcs, cache)
+        full_disjunction_stage(
+            db,
+            &self.mapping.graph,
+            self.algo,
+            || self.branches.clone(),
+            &self.pushed,
+            &self.pushed_masks,
+            funcs,
+            cache.filter(|c| c.enabled()),
+        )
     }
 
-    fn associations_pushed(
-        &self,
-        db: &Database,
-        funcs: &FuncRegistry,
-        cache: Option<&EvalCache>,
-    ) -> Result<AssociationSet> {
-        let _span = clio_obs::span("plan.fd");
-        let graph = &self.mapping.graph;
-        let scheme = graph.scheme(db)?;
-        let cache = cache.filter(|c| c.enabled());
-        let tables: Vec<Table> = match cache {
-            None => {
-                let fresh: Vec<Table> = clio_relational::exec::map_slice(
-                    &self.masks,
-                    "plan.fd.worker",
-                    |_, &mask| -> Result<Table> { full_associations(db, graph, mask, funcs) },
-                )
-                .into_iter()
-                .collect::<Result<_>>()?;
-                metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
-                fresh
-            }
-            Some(cache) => {
-                let fps: Vec<Fingerprint> = self
-                    .masks
-                    .iter()
-                    .map(|&mask| subgraph_fingerprint(graph, mask, cache))
-                    .collect();
-                let mut slots: Vec<Option<Table>> = fps.iter().map(|&fp| cache.get(fp)).collect();
-                let missing: Vec<(usize, u64)> = slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, slot)| slot.is_none())
-                    .map(|(i, _)| (i, self.masks[i]))
-                    .collect();
-                if !missing.is_empty() {
-                    // dispatch in the plan's estimate order; results
-                    // return in input order, so scheduling stays
-                    // answer-invisible
-                    let mut rank = vec![0usize; self.masks.len()];
-                    for (r, &p) in self.dispatch.iter().enumerate() {
-                        rank[p] = r;
-                    }
-                    let mut order: Vec<usize> = (0..missing.len()).collect();
-                    order.sort_by_key(|&p| rank[missing[p].0]);
-                    let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
-                        &missing,
-                        &order,
-                        "plan.fd.worker",
-                        |_, &(_, mask)| -> Result<(Table, u64)> {
-                            let t0 = std::time::Instant::now();
-                            let table = full_associations(db, graph, mask, funcs)?;
-                            let cost_ns =
-                                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            Ok((table, cost_ns))
-                        },
-                    )
-                    .into_iter()
-                    .collect::<Result<_>>()?;
-                    metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
-                    for (&(i, mask), (table, cost_ns)) in missing.iter().zip(&fresh) {
-                        // entries stay unfiltered so the definitional
-                        // pipeline (and other plans) can share them
-                        cache.insert_costed(fps[i], mask_deps(graph, mask), table, *cost_ns);
-                        slots[i] = Some(table.clone());
-                    }
-                }
-                slots
-                    .into_iter()
-                    .map(|t| t.expect("all slots filled"))
-                    .collect()
-            }
-        };
-        let padded: Vec<Table> = tables
-            .iter()
-            .zip(&self.masks)
-            .map(|(table, &mask)| {
-                let applicable: Vec<&Expr> = self
-                    .pushed
-                    .iter()
-                    .zip(&self.pushed_masks)
-                    .filter(|&(_, &pm)| pm & mask == pm)
-                    .map(|(f, _)| f)
-                    .collect();
-                if applicable.is_empty() {
-                    pad_to(table, &scheme)
-                } else {
-                    pad_to(&filter_rows(table, &applicable, funcs)?, &scheme)
-                }
-            })
-            .collect::<Result<_>>()?;
-        let refs: Vec<&Table> = padded.iter().collect();
-        let table = minimum_union_all(&refs, engine_subsumption())?;
-        Ok(AssociationSet::from_table(graph, table))
-    }
-
-    /// Run the plan: the full mapping query, byte-identical to
-    /// [`Mapping::evaluate_cached`]. The result is memoized under a
-    /// `"Q(M).plan"` fingerprint when a cache is live.
+    /// Run the plan: the mapping query `Q(M)` — one projection, filter,
+    /// and first-occurrence-distinct pass over [`Plan::associations`].
+    /// Runs unconditionally ([`Mapping::evaluate_cached`] consults the
+    /// result cache *before* building a plan) and memoizes the result
+    /// under [`mapping_fingerprint`] when a cache is live.
     pub fn evaluate(
         &self,
         db: &Database,
         funcs: &FuncRegistry,
         cache: Option<&EvalCache>,
     ) -> Result<Table> {
-        let _span = clio_obs::span("mapping.evaluate.plan");
         metrics::incr(Counter::PlanEvals);
         let cache = cache.filter(|c| c.enabled());
-        let fp = cache.map(|c| mapping_fingerprint_tagged(&self.mapping, c, "Q(M).plan"));
-        if let (Some(c), Some(fp)) = (cache, fp) {
-            if let Some(table) = c.get(fp) {
-                return Ok(table);
-            }
-        }
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let assocs = self.associations(db, funcs, cache)?;
-        let inner_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // the top-level filters run on every association — re-checking
-        // the pushed ones is free in correctness terms (they already
-        // hold) and keeps this loop identical to the definitional one
+        // Exclusive cost: the association step memoizes its own layers,
+        // so the result entry is charged only the projection/filter work
+        // a recompute would redo when those layers are warm. Charging the
+        // whole pipeline would double-count the children and hand this
+        // low-reuse aggregate an inflated eviction priority.
+        let inner_ns = elapsed_ns(t0);
         let eval = self.mapping.evaluator(db, funcs)?;
         let mut out = Table::empty(self.mapping.target_scheme());
         for i in 0..assocs.len() {
@@ -436,19 +357,208 @@ impl Plan {
                 out.push_distinct(row);
             }
         }
-        if let (Some(c), Some(fp)) = (cache, fp) {
-            let cost_ns = u64::try_from(t0.elapsed().as_nanos())
-                .unwrap_or(u64::MAX)
-                .saturating_sub(inner_ns);
+        if let Some(c) = cache {
             c.insert_costed(
-                fp,
-                crate::incremental::relation_deps(&self.mapping.graph),
+                mapping_fingerprint(&self.mapping, c),
+                relation_deps(&self.mapping.graph),
                 &out,
-                cost_ns,
+                elapsed_ns(t0).saturating_sub(inner_ns),
             );
         }
         Ok(out)
     }
+}
+
+/// Nanoseconds since `t0`, measured unconditionally (unlike
+/// `hist::start`, which is trace-gated): the cache's cost model needs
+/// real measurements even when tracing is off.
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The `D(G)` stage shared by every evaluation: `algo`'s full
+/// disjunction over `branches` (computed lazily — only on a cache miss
+/// of the minimum-union plan) with the `pushed` filters (alias masks
+/// parallel in `pushed_masks`) applied per branch. With nothing pushed
+/// the assembled result is memoized under the graph fingerprint;
+/// pushed branches are filtered, so no graph-level entry describes
+/// them. `cache` must already be filtered to a live cache.
+///
+/// While tracing is on the stage records `incr.fd.memory_hit` /
+/// `incr.fd.disk_hit` / `incr.fd.cold` latencies, the cost data the
+/// recompute-cost eviction model wants.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn full_disjunction_stage(
+    db: &Database,
+    graph: &QueryGraph,
+    algo: PlanAlgo,
+    branches: impl FnOnce() -> Vec<BranchInfo>,
+    pushed: &[Expr],
+    pushed_masks: &[u64],
+    funcs: &FuncRegistry,
+    cache: Option<&EvalCache>,
+) -> Result<AssociationSet> {
+    let _span = clio_obs::span("incr.fd");
+    let timer = clio_obs::hist::start();
+    let fp = cache
+        .filter(|_| pushed.is_empty())
+        .map(|c| (c, graph_fingerprint(graph, c, algo.tag())));
+    if let Some((c, fp)) = fp {
+        if let (Some(table), tier) = c.get_tiered(fp) {
+            clio_obs::hist::finish(
+                match tier {
+                    LookupTier::Memory => "incr.fd.memory_hit",
+                    _ => "incr.fd.disk_hit",
+                },
+                timer,
+            );
+            return Ok(AssociationSet::from_table(graph, table));
+        }
+    }
+    let t0 = Instant::now();
+    // The minimum-union plan memoizes its subgraphs individually, so the
+    // graph-level entry is charged only the exclusive assembly cost
+    // (padding + minimum union); the tree plan has no cached children
+    // and carries its full compute time.
+    let (set, children_ns) = match algo {
+        PlanAlgo::OuterJoin => (full_disjunction_outer_join(db, graph, funcs)?, 0),
+        PlanAlgo::Naive => {
+            run_branches(db, graph, &branches(), pushed, pushed_masks, funcs, cache)?
+        }
+    };
+    if let Some((c, fp)) = fp {
+        let cost_ns = elapsed_ns(t0).saturating_sub(children_ns);
+        c.insert_costed(fp, relation_deps(graph), set.table(), cost_ns);
+    }
+    clio_obs::hist::finish("incr.fd.cold", timer);
+    Ok(set)
+}
+
+/// The F(J)-branch executor of the minimum-union plan. Counted lookups
+/// run in canonical branch order; the misses are dispatched to the
+/// worker pool longest-estimated-first (results return in input order,
+/// so scheduling is answer-invisible), each timed and stored
+/// *unfiltered* with its measured recompute cost. Every branch then has
+/// its applicable pushed filters applied, is padded to the graph scheme,
+/// and one n-ary minimum union assembles the result in canonical order.
+/// `fd.subgraphs` counts only the subgraphs actually computed.
+///
+/// Returns the association set with the summed compute time of the
+/// subgraphs evaluated this call, so the caller can charge its own
+/// graph-level entry the *exclusive* assembly cost.
+fn run_branches(
+    db: &Database,
+    graph: &QueryGraph,
+    branches: &[BranchInfo],
+    pushed: &[Expr],
+    pushed_masks: &[u64],
+    funcs: &FuncRegistry,
+    cache: Option<&EvalCache>,
+) -> Result<(AssociationSet, u64)> {
+    let _span = clio_obs::span("fd.naive");
+    let scheme = graph.scheme(db)?;
+    let fps: Vec<_> = branches
+        .iter()
+        .map(|b| cache.map(|c| (c, subgraph_fingerprint(graph, b.mask, c))))
+        .collect();
+    let mut slots: Vec<Option<Table>> = fps
+        .iter()
+        .map(|fp| fp.and_then(|(c, fp)| c.get(fp)))
+        .collect();
+    let missing: Vec<(usize, u64)> = slots
+        .iter()
+        .enumerate()
+        .filter(|(_, slot)| slot.is_none())
+        .map(|(i, _)| (i, branches[i].mask))
+        .collect();
+    let mut children_ns: u64 = 0;
+    if !missing.is_empty() {
+        let mut order: Vec<usize> = (0..missing.len()).collect();
+        order.sort_by_key(|&pos| (Reverse(branches[missing[pos].0].estimate), pos));
+        let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
+            &missing,
+            &order,
+            "fd.naive.worker",
+            |_, &(_, mask)| -> Result<(Table, u64)> {
+                let t0 = Instant::now();
+                let table = full_associations(db, graph, mask, funcs)?;
+                Ok((table, elapsed_ns(t0)))
+            },
+        )
+        .into_iter()
+        .collect::<Result<_>>()?;
+        metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
+        let tracing = clio_obs::trace::trace_enabled();
+        for (&(i, mask), (table, cost_ns)) in missing.iter().zip(fresh) {
+            children_ns = children_ns.saturating_add(cost_ns);
+            if let Some((c, fp)) = fps[i] {
+                c.insert_costed(fp, mask_deps(graph, mask), &table, cost_ns);
+                if tracing {
+                    clio_obs::hist::record("incr.fd.scheduled", cost_ns);
+                }
+            }
+            slots[i] = Some(table);
+        }
+    }
+    let padded: Vec<Table> = slots
+        .iter()
+        .zip(branches)
+        .map(|(table, b)| {
+            let table = table.as_ref().expect("all slots filled");
+            let filters: Vec<&Expr> = applicable(pushed, pushed_masks, b.mask).collect();
+            if filters.is_empty() {
+                pad_to(table, &scheme)
+            } else {
+                pad_to(&filter_rows(table, &filters, funcs)?, &scheme)
+            }
+        })
+        .collect::<Result<_>>()?;
+    let refs: Vec<&Table> = padded.iter().collect();
+    let table = minimum_union_all(&refs, engine_subsumption())?;
+    Ok((AssociationSet::from_table(graph, table), children_ns))
+}
+
+/// The pushed filters binding on a branch: those whose aliases all lie
+/// inside `mask`.
+fn applicable<'a>(
+    pushed: &'a [Expr],
+    pushed_masks: &'a [u64],
+    mask: u64,
+) -> impl Iterator<Item = &'a Expr> {
+    pushed
+        .iter()
+        .zip(pushed_masks)
+        .filter(move |&(_, &pm)| pm & mask == pm)
+        .map(|(f, _)| f)
+}
+
+/// The base relations the subgraph `mask` reads (sorted, deduplicated)
+/// — the dependency set declared on its `F(J)` entry.
+fn mask_deps(graph: &QueryGraph, mask: u64) -> Vec<String> {
+    let mut deps: Vec<String> = graph
+        .nodes()
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, n)| n.relation.clone())
+        .collect();
+    deps.sort_unstable();
+    deps.dedup();
+    deps
+}
+
+/// Row-count fallback when no sibling cost history exists: the product
+/// of the member relations' sizes (saturating), a proxy for the join
+/// work `full_associations` will do on the subgraph.
+fn heuristic_cost(db: &Database, graph: &QueryGraph, mask: u64) -> u64 {
+    let mut est: u64 = 1;
+    for (i, n) in graph.nodes().iter().enumerate() {
+        if mask & (1 << i) != 0 {
+            let rows = db.relation(&n.relation).map_or(1, |r| r.len() as u64);
+            est = est.saturating_mul(rows.max(1));
+        }
+    }
+    est
 }
 
 /// The qualifier bitmask of an expression over graph aliases, or `None`
@@ -503,11 +613,8 @@ fn tree_ir(graph: &QueryGraph) -> Result<RelExpr> {
     let mut included = 1u64 << order[0];
     for &n in &order[1..] {
         let edge = graph
-            .edges()
-            .iter()
-            .find(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
+            .edges_into(n, included)
+            .next()
             .expect("tree + connected order guarantee exactly one edge");
         acc = RelExpr::Join {
             left: Box::new(acc),
@@ -524,29 +631,12 @@ fn tree_ir(graph: &QueryGraph) -> Result<RelExpr> {
 /// order-from-lowest-bit and edge-conjunction grouping as
 /// [`full_associations`].
 fn subgraph_ir(graph: &QueryGraph, mask: u64) -> RelExpr {
-    let start = mask.trailing_zeros() as usize;
-    let mut order: Vec<NodeId> = vec![start];
-    let mut seen = 1u64 << start;
-    let mut i = 0;
-    while i < order.len() {
-        for m in graph.neighbors(order[i]) {
-            let bit = 1u64 << m;
-            if mask & bit != 0 && seen & bit == 0 {
-                seen |= bit;
-                order.push(m);
-            }
-        }
-        i += 1;
-    }
+    let order = graph.subset_order(mask);
     let mut acc = scan_of(graph, order[0]);
     let mut included = 1u64 << order[0];
     for &n in &order[1..] {
         let preds: Vec<Expr> = graph
-            .edges()
-            .iter()
-            .filter(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
+            .edges_into(n, included)
             .map(|e| e.predicate.clone())
             .collect();
         acc = RelExpr::Join {
@@ -662,14 +752,38 @@ mod tests {
             .with_target_not_null_filters()
     }
 
+    /// The definitional mapping query over the reference `D(G)`
+    /// (outer joins on trees, the naive minimum union otherwise).
+    fn reference(m: &Mapping) -> Table {
+        let d = if m.graph.is_tree() {
+            crate::full_disjunction::full_disjunction_outer_join(&db(), &m.graph, &funcs())
+        } else {
+            crate::full_disjunction::full_disjunction_naive(
+                &db(),
+                &m.graph,
+                &funcs(),
+                engine_subsumption(),
+            )
+        }
+        .unwrap();
+        let eval = m.evaluator(&db(), &funcs()).unwrap();
+        let mut out = Table::empty(m.target_scheme());
+        for i in 0..d.len() {
+            if let Some(row) = eval.target_row_if_passing(d.row(i), &funcs()).unwrap() {
+                out.push_distinct(row);
+            }
+        }
+        out
+    }
+
     fn assert_same(m: &Mapping, cache: Option<&EvalCache>) {
-        let legacy = m.evaluate(&db(), &funcs()).unwrap();
+        let expected = reference(m);
         let planned = Plan::new(m, &db(), &funcs(), cache)
             .unwrap()
             .evaluate(&db(), &funcs(), cache)
             .unwrap();
-        assert_eq!(legacy.scheme(), planned.scheme());
-        assert_eq!(legacy.rows(), planned.rows());
+        assert_eq!(expected.scheme(), planned.scheme());
+        assert_eq!(expected.rows(), planned.rows());
     }
 
     #[test]
@@ -739,54 +853,45 @@ mod tests {
     }
 
     #[test]
-    fn planned_evaluation_is_cached_and_identical_under_a_cache() {
+    fn cached_evaluation_is_identical_and_stored_under_the_mapping_fingerprint() {
         let m = cyclic_mapping();
         let cache = EvalCache::new();
         assert_same(&m, Some(&cache));
+        let fp = mapping_fingerprint(&m, &cache);
+        assert!(cache.peek(fp), "the result lives under the Q(M) tag");
         let hits_before = cache.stats().hits;
-        let plan = Plan::new(&m, &db(), &funcs(), Some(&cache)).unwrap();
-        let again = plan.evaluate(&db(), &funcs(), Some(&cache)).unwrap();
-        assert_eq!(again.rows(), m.evaluate(&db(), &funcs()).unwrap().rows());
-        assert!(
-            cache.stats().hits > hits_before,
-            "repeat must hit Q(M).plan"
-        );
+        let again = m.evaluate_cached(&db(), &funcs(), Some(&cache)).unwrap();
+        assert_eq!(again.rows(), reference(&m).rows());
+        assert!(cache.stats().hits > hits_before, "repeat must hit Q(M)");
         // warm branches are annotated as such on a rebuild
         let rebuilt = Plan::new(&m, &db(), &funcs(), Some(&cache)).unwrap();
-        assert!(rebuilt.branches().iter().any(|b| b.warm));
+        assert!(rebuilt.branches().iter().all(|b| b.warm));
     }
 
     #[test]
-    fn plan_and_definitional_caches_never_share_result_entries() {
+    fn warm_hits_build_no_plan() {
+        let _guard = crate::obs_testutil::lock();
         let m = cyclic_mapping();
         let cache = EvalCache::new();
-        let planned = Plan::new(&m, &db(), &funcs(), Some(&cache))
-            .unwrap()
-            .evaluate(&db(), &funcs(), Some(&cache))
-            .unwrap();
-        let legacy = m.evaluate_cached(&db(), &funcs(), Some(&cache)).unwrap();
-        assert_eq!(planned.rows(), legacy.rows());
-        let fp_plan = mapping_fingerprint_tagged(&m, &cache, "Q(M).plan");
-        let fp_legacy = crate::incremental::mapping_fingerprint(&m, &cache);
-        assert_ne!(fp_plan, fp_legacy);
-        assert!(cache.peek(fp_plan).is_some());
-        assert!(cache.peek(fp_legacy).is_some());
-    }
-
-    #[test]
-    fn evaluate_planned_entry_points_delegate() {
-        let m = cyclic_mapping();
-        let legacy = m.evaluate(&db(), &funcs()).unwrap();
-        assert_eq!(
-            legacy.rows(),
-            m.evaluate_planned(&db(), &funcs()).unwrap().rows()
-        );
-        let cache = EvalCache::new();
-        assert_eq!(
-            legacy.rows(),
-            m.evaluate_planned_cached(&db(), &funcs(), Some(&cache))
-                .unwrap()
-                .rows()
+        m.evaluate_cached(&db(), &funcs(), Some(&cache)).unwrap();
+        clio_obs::set_trace_enabled(true);
+        {
+            // a root span tells this thread's spans apart from those of
+            // concurrently running tests
+            let _root = clio_obs::span("test.warm_hit");
+            m.evaluate_cached(&db(), &funcs(), Some(&cache)).unwrap();
+        }
+        clio_obs::set_trace_enabled(false);
+        let spans = clio_obs::take_spans();
+        clio_obs::clear_events();
+        let root = spans.iter().find(|s| s.name == "test.warm_hit").unwrap();
+        let eval = spans
+            .iter()
+            .find(|s| s.name == "mapping.evaluate" && s.parent == Some(root.id))
+            .unwrap_or_else(|| panic!("{spans:?}"));
+        assert!(
+            !spans.iter().any(|s| s.parent == Some(eval.id)),
+            "a warm hit runs no plan stage: {spans:?}"
         );
     }
 }

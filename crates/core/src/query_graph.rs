@@ -298,22 +298,45 @@ impl QueryGraph {
         if root >= self.nodes.len() {
             return Err(Error::Invalid("root out of range".into()));
         }
+        let order = self.bfs_order(root, u64::MAX);
+        if order.len() != self.nodes.len() {
+            return Err(Error::Invalid("query graph is not connected".into()));
+        }
+        Ok(order)
+    }
+
+    /// A BFS order of the node set `mask` from its lowest member, never
+    /// leaving the set: for a connected set, every node after the first
+    /// is adjacent to an earlier one. This is the join order of a
+    /// subgraph's full associations `F(J)`.
+    #[must_use]
+    pub(crate) fn subset_order(&self, mask: u64) -> Vec<NodeId> {
+        self.bfs_order(mask.trailing_zeros() as usize, mask)
+    }
+
+    fn bfs_order(&self, root: NodeId, mask: u64) -> Vec<NodeId> {
         let mut order = vec![root];
         let mut seen = 1u64 << root;
         let mut i = 0;
         while i < order.len() {
             for m in self.neighbors(order[i]) {
-                if seen & (1 << m) == 0 {
-                    seen |= 1 << m;
+                let bit = 1u64 << m;
+                if mask & bit != 0 && seen & bit == 0 {
+                    seen |= bit;
                     order.push(m);
                 }
             }
             i += 1;
         }
-        if order.len() != self.nodes.len() {
-            return Err(Error::Invalid("query graph is not connected".into()));
-        }
-        Ok(order)
+        order
+    }
+
+    /// The edges joining node `n` to the node set `included`, in
+    /// insertion order.
+    pub(crate) fn edges_into(&self, n: NodeId, included: u64) -> impl Iterator<Item = &Edge> + '_ {
+        self.edges.iter().filter(move |e| {
+            (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
+        })
     }
 
     /// Validate the graph against a database: connected, every node's

@@ -83,8 +83,6 @@ pub struct Session {
     /// Memoized evaluation results (`F(J)`, `D(G)`, mapping queries),
     /// invalidated by relation edits and function-registry changes.
     cache: EvalCache,
-    /// Route mapping evaluation through the planner (off by default).
-    plan_enabled: bool,
 }
 
 impl Session {
@@ -141,7 +139,6 @@ impl Session {
             generation: 0,
             walk_max_steps: 4,
             cache: EvalCache::new(),
-            plan_enabled: false,
         }
     }
 
@@ -188,29 +185,10 @@ impl Session {
         self.cache.set_enabled(on);
     }
 
-    /// Route mapping evaluation through the planner (off by default):
-    /// builds a [`crate::plan::Plan`] per evaluation, applying the
-    /// filter-pushdown and subgraph-ordering rewrites. Output is
-    /// byte-identical to the definitional path either way.
-    pub fn set_plan_enabled(&mut self, on: bool) {
-        self.plan_enabled = on;
-    }
-
-    /// Is plan-based evaluation on?
-    #[must_use]
-    pub fn plan_enabled(&self) -> bool {
-        self.plan_enabled
-    }
-
-    /// Evaluate a mapping the way this session is configured to —
-    /// through the planner when [`Session::set_plan_enabled`] is on,
-    /// the definitional cached path otherwise.
+    /// Evaluate a mapping through this session's cache (the plan
+    /// executor; see [`Mapping::evaluate_cached`]).
     pub fn evaluate_mapping(&self, mapping: &Mapping) -> Result<Table> {
-        if self.plan_enabled {
-            mapping.evaluate_planned_cached(&self.db, &self.funcs, Some(&self.cache))
-        } else {
-            mapping.evaluate_cached(&self.db, &self.funcs, Some(&self.cache))
-        }
+        mapping.evaluate_cached(&self.db, &self.funcs, Some(&self.cache))
     }
 
     /// The planner's `explain` tree for the active workspace's mapping.

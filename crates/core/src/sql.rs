@@ -110,11 +110,7 @@ pub fn generate_sql(mapping: &Mapping, db: &Database, options: &SqlOptions) -> R
     let mut included: u64 = 1 << order[0];
     for &n in &order[1..] {
         let preds: Vec<Expr> = graph
-            .edges()
-            .iter()
-            .filter(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
+            .edges_into(n, included)
             .map(|e| e.predicate.clone())
             .collect();
         let on = simplify(&Expr::conjunction(preds));

@@ -369,7 +369,7 @@ pub fn section2_mapping() -> Mapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clio_core::full_disjunction::{full_disjunction, FdAlgo};
+    use clio_core::full_disjunction::full_disjunction;
     use clio_relational::funcs::FuncRegistry;
     use clio_relational::index::ValueIndex;
 
@@ -444,7 +444,7 @@ mod tests {
     fn running_graph_categories_match_example_4_3() {
         let db = paper_database();
         let g = running_graph();
-        let d = full_disjunction(&db, &g, FdAlgo::Auto, &funcs()).unwrap();
+        let d = full_disjunction(&db, &g, &funcs()).unwrap();
         let tags: Vec<String> = d.categories().iter().map(|&c| g.coverage_tag(c)).collect();
         // present: CPPh (kids without bus), CPPhS (kids with bus), PPh
         // (childless parents with phones)

@@ -252,7 +252,7 @@ pub fn random_knowledge(relations: usize, extra_specs: usize, seed: u64) -> Sche
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clio_core::full_disjunction::{full_disjunction, FdAlgo};
+    use clio_core::full_disjunction::full_disjunction;
     use clio_relational::funcs::FuncRegistry;
 
     #[test]
@@ -319,7 +319,7 @@ mod tests {
         spec.rows = 30;
         let w = generate(&spec);
         let funcs = FuncRegistry::with_builtins();
-        let d = full_disjunction(&w.db, &w.graph, FdAlgo::Auto, &funcs).unwrap();
+        let d = full_disjunction(&w.db, &w.graph, &funcs).unwrap();
         assert!(!d.is_empty());
         let out = w.mapping.evaluate(&w.db, &funcs).unwrap();
         assert!(!out.is_empty());
@@ -337,7 +337,7 @@ mod tests {
         };
         let w = generate(&spec);
         let funcs = FuncRegistry::with_builtins();
-        let d = full_disjunction(&w.db, &w.graph, FdAlgo::Auto, &funcs).unwrap();
+        let d = full_disjunction(&w.db, &w.graph, &funcs).unwrap();
         assert!(
             d.categories().len() > 1,
             "expected several coverage categories"

@@ -31,11 +31,11 @@ fn main() -> Result<()> {
         let w = generate(&spec);
 
         let t = Instant::now();
-        let d1 = full_disjunction(&w.db, &w.graph, FdAlgo::Naive, &funcs)?;
+        let d1 = full_disjunction_naive(&w.db, &w.graph, &funcs, engine_subsumption())?;
         let naive = t.elapsed();
 
         let t = Instant::now();
-        let d2 = full_disjunction(&w.db, &w.graph, FdAlgo::OuterJoin, &funcs)?;
+        let d2 = full_disjunction_outer_join(&w.db, &w.graph, &funcs)?;
         let outer = t.elapsed();
 
         assert_eq!(d1.len(), d2.len(), "algorithms must agree");
@@ -59,7 +59,7 @@ fn main() -> Result<()> {
     };
     let w = generate(&spec);
     let t = Instant::now();
-    let d = full_disjunction(&w.db, &w.graph, FdAlgo::Auto, &funcs)?;
+    let d = full_disjunction(&w.db, &w.graph, &funcs)?;
     println!(
         "5-node cycle, 100 rows/rel: {} associations in {:.2?} \
          ({} coverage categories)",

@@ -190,7 +190,7 @@ fn complex_expressions_evaluate_over_associations() {
     let db = paper_database();
     let funcs = funcs();
     let g = running_graph();
-    let d = full_disjunction(&db, &g, FdAlgo::Auto, &funcs).unwrap();
+    let d = full_disjunction(&db, &g, &funcs).unwrap();
     let expr = parse_expr(
         "CASE WHEN SBPS.time IS NOT NULL THEN 'bus' \
               WHEN Children.age BETWEEN 0 AND 4 THEN 'carried' \
@@ -238,7 +238,7 @@ fn table_rendering_is_stable_and_grid_aligned() {
     let db = paper_database();
     let g = running_graph();
     let funcs = funcs();
-    let mut d = full_disjunction(&db, &g, FdAlgo::Auto, &funcs).unwrap();
+    let mut d = full_disjunction(&db, &g, &funcs).unwrap();
     d.sort_canonical(&g);
     let s1 = d.render(&g);
     let s2 = d.render(&g);

@@ -201,8 +201,8 @@ fn figure8_full_disjunction() {
     let db = paper_database();
     let g = running_graph();
     let funcs = funcs();
-    let mut naive = full_disjunction(&db, &g, FdAlgo::Naive, &funcs).unwrap();
-    let mut outer = full_disjunction(&db, &g, FdAlgo::OuterJoin, &funcs).unwrap();
+    let mut naive = full_disjunction_naive(&db, &g, &funcs, engine_subsumption()).unwrap();
+    let mut outer = full_disjunction_outer_join(&db, &g, &funcs).unwrap();
     naive.sort_canonical(&g);
     outer.sort_canonical(&g);
     assert_eq!(naive.table().rows(), outer.table().rows());

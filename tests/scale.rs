@@ -20,8 +20,8 @@ fn fd_algorithms_agree_on_a_wide_star_with_data() {
         seed: 99,
     });
     let funcs = funcs();
-    let mut a = full_disjunction(&w.db, &w.graph, FdAlgo::Naive, &funcs).unwrap();
-    let mut b = full_disjunction(&w.db, &w.graph, FdAlgo::OuterJoin, &funcs).unwrap();
+    let mut a = full_disjunction_naive(&w.db, &w.graph, &funcs, engine_subsumption()).unwrap();
+    let mut b = full_disjunction_outer_join(&w.db, &w.graph, &funcs).unwrap();
     a.sort_canonical(&w.graph);
     b.sort_canonical(&w.graph);
     assert_eq!(a.table().rows(), b.table().rows());
