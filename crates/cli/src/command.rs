@@ -332,7 +332,7 @@ const COMMANDS_TAIL: &[CommandSpec] = &[
     },
     CommandSpec {
         usage: "save <file> / load <file>",
-        description: &["persist the active mapping as a script"],
+        description: &["persist the active mapping as a MAP statement"],
     },
     CommandSpec {
         usage: "explain",
@@ -580,12 +580,12 @@ pub enum Command {
     },
     /// `contributions`.
     Contributions,
-    /// `save <file>`.
+    /// `save <file>` — write the active mapping as a MAP statement.
     SaveMapping {
         /// Output path.
         path: String,
     },
-    /// `load <file>`.
+    /// `load <file>` — the same as `map load <file>`.
     LoadMapping {
         /// Input path.
         path: String,
@@ -593,49 +593,56 @@ pub enum Command {
 }
 
 impl Command {
-    /// The command's stable keyword kind (e.g. `"corr"`). The network
-    /// front-end keys its per-command `net.request.*` latency
-    /// histograms on this, so the strings must stay stable.
+    /// The command's stable keyword kind (e.g. `"corr"`): its
+    /// histogram name without the `net.request.` prefix.
     #[must_use]
     pub fn kind(&self) -> &'static str {
+        &self.hist_name()["net.request.".len()..]
+    }
+
+    /// The `net.request.<kind>` latency histogram the network front-end
+    /// keys this command's requests on. Histogram names must be
+    /// `'static` and stable, hence the explicit table.
+    #[must_use]
+    pub(crate) fn hist_name(&self) -> &'static str {
         match self {
-            Command::Noop => "noop",
-            Command::Quit => "quit",
-            Command::Help => "help",
-            Command::Source => "source",
-            Command::Show { .. } => "show",
-            Command::Target => "target",
-            Command::Corr { .. } => "corr",
-            Command::Walk { .. } => "walk",
-            Command::Chase { .. } => "chase",
-            Command::Workspaces => "workspaces",
-            Command::Activate { .. } => "activate",
-            Command::Confirm { .. } => "confirm",
-            Command::Delete { .. } => "delete",
-            Command::Accept => "accept",
-            Command::Illustration => "illustration",
-            Command::Induced => "induced",
-            Command::Alternatives { .. } => "alternatives",
-            Command::Swap { .. } => "swap",
-            Command::Examples => "examples",
-            Command::Mapping => "mapping",
-            Command::Sql => "sql",
-            Command::Filter { .. } => "filter",
-            Command::Require { .. } => "require",
-            Command::Status => "status",
-            Command::Stats(_) => "stats",
-            Command::Trace { .. } => "trace",
-            Command::Cache(_) => "cache",
-            Command::Db(_) => "db",
-            Command::Map(_) => "map",
-            Command::Explain => "explain",
-            Command::Profile => "profile",
-            Command::ProfileSpans { .. } => "profile",
-            Command::Mine { .. } => "mine",
-            Command::Verify { .. } => "verify",
-            Command::Contributions => "contributions",
-            Command::SaveMapping { .. } => "save",
-            Command::LoadMapping { .. } => "load",
+            Command::Noop => "net.request.noop",
+            Command::Quit => "net.request.quit",
+            Command::Help => "net.request.help",
+            Command::Source => "net.request.source",
+            Command::Show { .. } => "net.request.show",
+            Command::Target => "net.request.target",
+            Command::Corr { .. } => "net.request.corr",
+            Command::Walk { .. } => "net.request.walk",
+            Command::Chase { .. } => "net.request.chase",
+            Command::Workspaces => "net.request.workspaces",
+            Command::Activate { .. } => "net.request.activate",
+            Command::Confirm { .. } => "net.request.confirm",
+            Command::Delete { .. } => "net.request.delete",
+            Command::Accept => "net.request.accept",
+            Command::Illustration => "net.request.illustration",
+            Command::Induced => "net.request.induced",
+            Command::Alternatives { .. } => "net.request.alternatives",
+            Command::Swap { .. } => "net.request.swap",
+            Command::Examples => "net.request.examples",
+            Command::Mapping => "net.request.mapping",
+            Command::Sql => "net.request.sql",
+            Command::Filter { .. } => "net.request.filter",
+            Command::Require { .. } => "net.request.require",
+            Command::Status => "net.request.status",
+            Command::Stats(_) => "net.request.stats",
+            Command::Trace { .. } => "net.request.trace",
+            Command::Cache(_) => "net.request.cache",
+            Command::Db(_) => "net.request.db",
+            Command::Map(_) => "net.request.map",
+            Command::Explain => "net.request.explain",
+            Command::Profile => "net.request.profile",
+            Command::ProfileSpans { .. } => "net.request.profile",
+            Command::Mine { .. } => "net.request.mine",
+            Command::Verify { .. } => "net.request.verify",
+            Command::Contributions => "net.request.contributions",
+            Command::SaveMapping { .. } => "net.request.save",
+            Command::LoadMapping { .. } => "net.request.load",
         }
     }
 }
@@ -816,6 +823,7 @@ pub fn parse(line: &str) -> Result<Command, ParseError> {
             Ok(Command::Verify { keys })
         }
         "contributions" => Ok(Command::Contributions),
+        "save" | "load" if rest.is_empty() => err(format!("usage: {cmd} <file>")),
         "save" => Ok(Command::SaveMapping {
             path: rest.to_owned(),
         }),
@@ -967,6 +975,24 @@ mod tests {
             .unwrap_err()
             .0
             .contains("unknown db subcommand"));
+    }
+
+    #[test]
+    fn save_and_load_need_a_file() {
+        assert_eq!(
+            parse("save k.map").unwrap(),
+            Command::SaveMapping {
+                path: "k.map".into()
+            }
+        );
+        assert_eq!(
+            parse("load k.map").unwrap(),
+            Command::LoadMapping {
+                path: "k.map".into()
+            }
+        );
+        assert_eq!(parse("save").unwrap_err().0, "usage: save <file>");
+        assert_eq!(parse("load  ").unwrap_err().0, "usage: load <file>");
     }
 
     #[test]

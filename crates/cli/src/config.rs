@@ -4,9 +4,19 @@
 //! [`UsageError`] whose `Display` is exactly the message the binary
 //! prints to stderr before exiting 2 — so tests can assert on flag
 //! handling without spawning a process, and the binary's behavior is
-//! the library's behavior.
+//! the library's behavior. Cross-flag conflicts are one table,
+//! `CONFLICTS`, checked once every flag is parsed; and
+//! [`CliConfig::session_pool`] is the one place a configuration turns
+//! into the [`SessionPool`] every front-end takes its sessions from.
 
+use std::path::Path;
+use std::sync::Arc;
+
+use clio_core::session_pool::SessionPool;
 use clio_datagen::synthetic::{SyntheticSpec, Topology};
+use clio_incr::{CacheStore, DiskStore, MemStore};
+use clio_relational::database::Database;
+use clio_relational::schema::RelSchema;
 
 /// Buffer-pool page budget used for paged databases when `--db-pool`
 /// is not given (also the pool `db load` opens with).
@@ -38,6 +48,17 @@ pub enum Mode {
     /// `connect <addr>`: drive a remote server with `--script` (or
     /// stdin) lines.
     Connect(String),
+}
+
+impl Mode {
+    /// The subcommand word of a remote mode (`""` for the local shell).
+    fn word(&self) -> &'static str {
+        match self {
+            Mode::Local => "",
+            Mode::Serve => "serve",
+            Mode::Connect(_) => "connect",
+        }
+    }
 }
 
 /// Everything the `clio-shell` binary accepts on its command line, in
@@ -107,11 +128,124 @@ pub struct CliConfig {
     pub cache_policy: Option<clio_incr::EvictionPolicy>,
 }
 
-/// The value of flag `flag`, or the binary's exact missing-value error.
-fn require_value(args: &[String], i: usize, flag: &str) -> Result<String, UsageError> {
-    args.get(i)
+/// One cross-flag conflict: a predicate over a fully parsed
+/// configuration and the exact stderr line when it holds. In a message,
+/// `{mode}` stands for the mode word (`serve` or `connect`).
+pub(crate) struct Conflict {
+    /// Does this configuration hit the conflict?
+    pub(crate) applies: fn(&CliConfig) -> bool,
+    /// The usage error's message.
+    pub(crate) message: &'static str,
+}
+
+/// Every cross-flag conflict, in the order the binary reports them: the
+/// first row that applies wins.
+pub(crate) static CONFLICTS: &[Conflict] = &[
+    // the networking knobs belong to `serve` ...
+    Conflict {
+        applies: |c| c.mode != Mode::Serve && c.port.is_some(),
+        message: "--port requires serve mode (see --help)",
+    },
+    Conflict {
+        applies: |c| c.mode != Mode::Serve && c.max_conns.is_some(),
+        message: "--max-conns requires serve mode (see --help)",
+    },
+    Conflict {
+        applies: |c| c.mode != Mode::Serve && c.idle_ms.is_some(),
+        message: "--idle-ms requires serve mode (see --help)",
+    },
+    // ... and the local script machinery has no meaning on a socket
+    Conflict {
+        applies: |c| c.mode != Mode::Local && c.mapping_file.is_some(),
+        message: "--mapping requires local mode (use `map load` over the wire; see --help)",
+    },
+    Conflict {
+        applies: |c| c.mode != Mode::Local && !c.batch_scripts.is_empty(),
+        message: "{mode} mode takes no positional script arguments (see --help)",
+    },
+    Conflict {
+        applies: |c| c.mode != Mode::Local && c.sessions_width.is_some(),
+        message: "--sessions conflicts with {mode} mode (see --help)",
+    },
+    Conflict {
+        applies: |c| c.mode == Mode::Serve && c.script.is_some(),
+        message: "--script conflicts with serve mode (see --help)",
+    },
+    // source selection (a `connect` client opens no source)
+    Conflict {
+        applies: |c| c.opens_source() && c.source_dir.is_some() && c.target_spec.is_none(),
+        message: "--source requires --target \"Name (attr type, ...)\"",
+    },
+    Conflict {
+        applies: |c| c.opens_source() && c.db_pool.is_some() && c.db_dir.is_none(),
+        message: "--db-pool requires --db-dir (see --help)",
+    },
+    Conflict {
+        applies: |c| c.opens_source() && c.db_dir.is_some() && c.source_dir.is_some(),
+        message: "--db-dir conflicts with --source (see --help)",
+    },
+    Conflict {
+        applies: |c| c.opens_source() && c.db_dir.is_some() && c.synthetic.is_some(),
+        message: "--db-dir conflicts with --synthetic (see --help)",
+    },
+    // batch mode
+    Conflict {
+        applies: |c| !c.batch_scripts.is_empty() && c.script.is_some(),
+        message: "--script conflicts with positional script arguments (see --help)",
+    },
+    Conflict {
+        applies: |c| !c.batch_scripts.is_empty() && c.mapping_file.is_some(),
+        message: "--mapping conflicts with positional script arguments (see --help)",
+    },
+    Conflict {
+        applies: |c| c.batch_scripts.is_empty() && c.sessions_width.is_some(),
+        message: "--sessions requires positional script arguments (see --help)",
+    },
+];
+
+/// Step past flag `args[*i]` to its value, or the binary's exact
+/// missing-value error.
+fn take_value(args: &[String], i: &mut usize) -> Result<String, UsageError> {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
         .cloned()
         .ok_or_else(|| UsageError(format!("{flag} requires a value (see --help)")))
+}
+
+/// What a numeric flag or environment variable expects, as its error
+/// message words it.
+const POSITIVE: &str = "a positive integer";
+const POSITIVE_MS: &str = "a positive integer (milliseconds)";
+const PORT: &str = "a port number (0-65535)";
+
+/// Parse the value of flag or environment variable `name` as a number
+/// of at least `min`, or the binary's exact
+/// ``{name} expects {expects}, got `{value}` `` error.
+fn number<T: std::str::FromStr + PartialOrd>(
+    name: &str,
+    value: &str,
+    min: T,
+    expects: &str,
+) -> Result<T, UsageError> {
+    value
+        .parse::<T>()
+        .ok()
+        .filter(|n| *n >= min)
+        .ok_or_else(|| UsageError(format!("{name} expects {expects}, got `{value}`")))
+}
+
+/// Environment fallback `key` (looked up through `get`), parsed like
+/// its flag form.
+fn env_number<T: std::str::FromStr + PartialOrd>(
+    get: &impl Fn(&str) -> Option<String>,
+    key: &str,
+    min: T,
+    expects: &str,
+) -> Result<Option<T>, UsageError> {
+    get(key)
+        .map(|value| number(key, &value, min, expects))
+        .transpose()
 }
 
 /// Parse a `--synthetic` spec (`<topology>,<relations>,<rows>`),
@@ -147,11 +281,58 @@ fn parse_synthetic(spec_text: &str) -> Result<SyntheticSpec, UsageError> {
 impl CliConfig {
     /// Parse an argv slice (without the program name). Flags are
     /// processed left to right; the first invalid flag wins, and
-    /// `--help` stops parsing. Cross-flag constraints that depend on
-    /// runtime state (e.g. `--source` needing `--target`, `--script`
-    /// conflicting with positional scripts) are checked by the binary
-    /// in its historical order, not here.
+    /// `--help` stops parsing. A fully parsed configuration is then
+    /// checked against the cross-flag conflict table, whose first
+    /// applying row is the error.
     pub fn parse(args: &[String]) -> Result<CliConfig, UsageError> {
+        let cfg = CliConfig::parse_flags(args)?;
+        if cfg.help {
+            return Ok(cfg);
+        }
+        match CONFLICTS.iter().find(|c| (c.applies)(&cfg)) {
+            Some(conflict) => Err(UsageError(
+                conflict.message.replace("{mode}", cfg.mode.word()),
+            )),
+            None => Ok(cfg),
+        }
+    }
+
+    /// Does this mode open a source database (every mode but
+    /// `connect`, whose source lives in the server)?
+    fn opens_source(&self) -> bool {
+        !matches!(self.mode, Mode::Connect(_))
+    }
+
+    /// The [`SessionPool`] every front-end of this configuration takes
+    /// its sessions from: the `--sessions` width, the cache switch and
+    /// `--cache-policy`, and the shared persistent store. The store is
+    /// a [`DiskStore`] under `--cache-dir`, namespaced by a digest of
+    /// the source so one directory serves many databases; without the
+    /// flag, `serve` still shares one in-memory [`MemStore`] so one
+    /// connection's spilled work warms the next.
+    #[must_use]
+    pub fn session_pool(&self, db: Database, target: RelSchema) -> SessionPool {
+        let store: Option<Arc<dyn CacheStore>> = match &self.cache_dir {
+            Some(dir) => Some(Arc::new(DiskStore::open(
+                Path::new(dir),
+                clio_incr::database_digest(&db),
+            ))),
+            None if self.mode == Mode::Serve => Some(Arc::new(MemStore::new())),
+            None => None,
+        };
+        let mut pool = SessionPool::new(db, target).with_width(self.sessions_width.unwrap_or(1));
+        if let Some(store) = store {
+            pool = pool.with_store(store);
+        }
+        pool.set_cache_enabled(!self.no_cache);
+        if let Some(policy) = self.cache_policy {
+            pool.set_cache_policy(policy);
+        }
+        pool
+    }
+
+    /// Parse the flags themselves, without the conflict table.
+    fn parse_flags(args: &[String]) -> Result<CliConfig, UsageError> {
         let mut cfg = CliConfig::default();
         let mut i = 0;
         // The mode subcommand is recognized only as the first word, so
@@ -175,151 +356,44 @@ impl CliConfig {
             _ => {}
         }
         while i < args.len() {
-            match args[i].as_str() {
+            let flag = args[i].as_str();
+            let mut value = || take_value(args, &mut i);
+            match flag {
                 "--help" | "-h" => {
                     cfg.help = true;
                     return Ok(cfg);
                 }
-                "--script" => {
-                    i += 1;
-                    cfg.script = Some(require_value(args, i, "--script")?);
-                }
-                "--source" => {
-                    i += 1;
-                    cfg.source_dir = Some(require_value(args, i, "--source")?);
-                }
-                "--target" => {
-                    i += 1;
-                    cfg.target_spec = Some(require_value(args, i, "--target")?);
-                }
-                "--db-dir" => {
-                    i += 1;
-                    cfg.db_dir = Some(require_value(args, i, "--db-dir")?);
-                }
-                "--db-pool" => {
-                    i += 1;
-                    let value = require_value(args, i, "--db-pool")?;
-                    match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => cfg.db_pool = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--db-pool expects a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--metrics" => {
-                    i += 1;
-                    cfg.metrics_path = Some(require_value(args, i, "--metrics")?);
-                }
-                "--cache-dir" => {
-                    i += 1;
-                    cfg.cache_dir = Some(require_value(args, i, "--cache-dir")?);
-                }
-                "--cache-policy" => {
-                    i += 1;
-                    let value = require_value(args, i, "--cache-policy")?;
-                    match clio_incr::EvictionPolicy::parse(&value) {
-                        Some(policy) => cfg.cache_policy = Some(policy),
-                        None => {
-                            return Err(UsageError(format!(
-                                "--cache-policy expects `lru` or `cost`, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--mapping" => {
-                    i += 1;
-                    cfg.mapping_file = Some(require_value(args, i, "--mapping")?);
-                }
                 "--trace" => cfg.trace = true,
                 "--no-cache" => cfg.no_cache = true,
+                "--script" => cfg.script = Some(value()?),
+                "--source" => cfg.source_dir = Some(value()?),
+                "--target" => cfg.target_spec = Some(value()?),
+                "--db-dir" => cfg.db_dir = Some(value()?),
+                "--metrics" => cfg.metrics_path = Some(value()?),
+                "--cache-dir" => cfg.cache_dir = Some(value()?),
+                "--mapping" => cfg.mapping_file = Some(value()?),
+                "--trace-out" => cfg.trace_out = Some(value()?),
                 "--trace-filter" => {
-                    i += 1;
-                    cfg.trace_filter = Some(require_value(args, i, "--trace-filter")?);
+                    cfg.trace_filter = Some(value()?);
                     cfg.trace = true;
                 }
-                "--trace-out" => {
-                    i += 1;
-                    cfg.trace_out = Some(require_value(args, i, "--trace-out")?);
+                "--db-pool" => cfg.db_pool = Some(number(flag, &value()?, 1, POSITIVE)?),
+                "--threads" => cfg.threads = Some(number(flag, &value()?, 1, POSITIVE)?),
+                "--sessions" => cfg.sessions_width = Some(number(flag, &value()?, 1, POSITIVE)?),
+                "--max-conns" => cfg.max_conns = Some(number(flag, &value()?, 1, POSITIVE)?),
+                "--slow-ms" => cfg.slow_ms = Some(number(flag, &value()?, 1, POSITIVE_MS)?),
+                "--idle-ms" => cfg.idle_ms = Some(number(flag, &value()?, 1, POSITIVE_MS)?),
+                "--port" => cfg.port = Some(number(flag, &value()?, 0, PORT)?),
+                "--cache-policy" => {
+                    let value = value()?;
+                    let policy = clio_incr::EvictionPolicy::parse(&value).ok_or_else(|| {
+                        UsageError(format!(
+                            "--cache-policy expects `lru` or `cost`, got `{value}`"
+                        ))
+                    })?;
+                    cfg.cache_policy = Some(policy);
                 }
-                "--slow-ms" => {
-                    i += 1;
-                    let value = require_value(args, i, "--slow-ms")?;
-                    match value.parse::<u64>() {
-                        Ok(n) if n >= 1 => cfg.slow_ms = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--slow-ms expects a positive integer (milliseconds), got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--threads" => {
-                    i += 1;
-                    let value = require_value(args, i, "--threads")?;
-                    match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => cfg.threads = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--threads expects a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--port" => {
-                    i += 1;
-                    let value = require_value(args, i, "--port")?;
-                    match value.parse::<u16>() {
-                        Ok(n) => cfg.port = Some(n),
-                        Err(_) => {
-                            return Err(UsageError(format!(
-                                "--port expects a port number (0-65535), got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--max-conns" => {
-                    i += 1;
-                    let value = require_value(args, i, "--max-conns")?;
-                    match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => cfg.max_conns = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--max-conns expects a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--idle-ms" => {
-                    i += 1;
-                    let value = require_value(args, i, "--idle-ms")?;
-                    match value.parse::<u64>() {
-                        Ok(n) if n >= 1 => cfg.idle_ms = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--idle-ms expects a positive integer (milliseconds), got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--sessions" => {
-                    i += 1;
-                    let value = require_value(args, i, "--sessions")?;
-                    match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => cfg.sessions_width = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--sessions expects a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--synthetic" => {
-                    i += 1;
-                    let spec = require_value(args, i, "--synthetic")?;
-                    cfg.synthetic = Some(parse_synthetic(&spec)?);
-                }
+                "--synthetic" => cfg.synthetic = Some(parse_synthetic(&value()?)?),
                 other if other.starts_with('-') => {
                     return Err(UsageError(format!("unknown flag `{other}` (see --help)")));
                 }
@@ -340,40 +414,13 @@ impl CliConfig {
         get: impl Fn(&str) -> Option<String>,
     ) -> Result<(), UsageError> {
         if self.port.is_none() {
-            if let Some(value) = get("CLIO_PORT") {
-                match value.parse::<u16>() {
-                    Ok(n) => self.port = Some(n),
-                    Err(_) => {
-                        return Err(UsageError(format!(
-                            "CLIO_PORT expects a port number (0-65535), got `{value}`"
-                        )))
-                    }
-                }
-            }
+            self.port = env_number(&get, "CLIO_PORT", 0, PORT)?;
         }
         if self.max_conns.is_none() {
-            if let Some(value) = get("CLIO_MAX_CONNS") {
-                match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => self.max_conns = Some(n),
-                    _ => {
-                        return Err(UsageError(format!(
-                            "CLIO_MAX_CONNS expects a positive integer, got `{value}`"
-                        )))
-                    }
-                }
-            }
+            self.max_conns = env_number(&get, "CLIO_MAX_CONNS", 1, POSITIVE)?;
         }
         if self.idle_ms.is_none() {
-            if let Some(value) = get("CLIO_IDLE_MS") {
-                match value.parse::<u64>() {
-                    Ok(n) if n >= 1 => self.idle_ms = Some(n),
-                    _ => {
-                        return Err(UsageError(format!(
-                            "CLIO_IDLE_MS expects a positive integer (milliseconds), got `{value}`"
-                        )))
-                    }
-                }
-            }
+            self.idle_ms = env_number(&get, "CLIO_IDLE_MS", 1, POSITIVE_MS)?;
         }
         Ok(())
     }
@@ -398,7 +445,9 @@ mod tests {
 
     #[test]
     fn flags_with_values() {
-        let cfg = CliConfig::parse(&argv(&[
+        // `--sessions` without positional scripts is a conflict; this
+        // test is about the values, so it skips the conflict table
+        let cfg = CliConfig::parse_flags(&argv(&[
             "--script",
             "s.clio",
             "--metrics",
@@ -599,6 +648,124 @@ mod tests {
             err.to_string(),
             "CLIO_IDLE_MS expects a positive integer (milliseconds), got `x`"
         );
+    }
+
+    /// Every row of [`CONFLICTS`] fires with its exact message, and
+    /// every row is covered here.
+    #[test]
+    fn each_conflict_row_reports_its_stderr_line() {
+        let serve_only = "requires serve mode (see --help)";
+        let positional = "conflicts with positional script arguments (see --help)";
+        let cases = [
+            ("--port 9090", format!("--port {serve_only}")),
+            (
+                "connect h:1 --max-conns 2",
+                format!("--max-conns {serve_only}"),
+            ),
+            ("--idle-ms 5", format!("--idle-ms {serve_only}")),
+            (
+                "serve --mapping m.map",
+                "--mapping requires local mode (use `map load` over the wire; see --help)".into(),
+            ),
+            (
+                "serve a.clio",
+                "serve mode takes no positional script arguments (see --help)".into(),
+            ),
+            (
+                "connect h:1 a.clio",
+                "connect mode takes no positional script arguments (see --help)".into(),
+            ),
+            (
+                "connect h:1 --sessions 2",
+                "--sessions conflicts with connect mode (see --help)".into(),
+            ),
+            (
+                "serve --script s.clio",
+                "--script conflicts with serve mode (see --help)".into(),
+            ),
+            (
+                "--source d",
+                "--source requires --target \"Name (attr type, ...)\"".into(),
+            ),
+            (
+                "--db-pool 4",
+                "--db-pool requires --db-dir (see --help)".into(),
+            ),
+            (
+                "--db-dir p --source d --target T",
+                "--db-dir conflicts with --source (see --help)".into(),
+            ),
+            (
+                "--db-dir p --synthetic chain,2,2",
+                "--db-dir conflicts with --synthetic (see --help)".into(),
+            ),
+            ("--script s.clio a.clio", format!("--script {positional}")),
+            ("--mapping m.map a.clio", format!("--mapping {positional}")),
+            (
+                "--sessions 2",
+                "--sessions requires positional script arguments (see --help)".into(),
+            ),
+        ];
+        let args = |line: &str| argv(&line.split(' ').collect::<Vec<_>>());
+        for (line, want) in &cases {
+            let err = CliConfig::parse(&args(line)).unwrap_err();
+            assert_eq!(err.to_string(), *want, "args: {line}");
+        }
+        for (i, row) in CONFLICTS.iter().enumerate() {
+            let covered = cases.iter().any(|(line, want)| {
+                let cfg = CliConfig::parse_flags(&args(line)).unwrap();
+                (row.applies)(&cfg) && *want == row.message.replace("{mode}", cfg.mode.word())
+            });
+            assert!(covered, "conflict row {i} (`{}`) has no case", row.message);
+        }
+    }
+
+    #[test]
+    fn conflicts_follow_the_table_order_and_spare_connect_and_help() {
+        let err = |words: &[&str]| CliConfig::parse(&argv(words)).unwrap_err().to_string();
+        // the serve-only flags are checked before the mode conflicts
+        assert_eq!(
+            err(&["connect", "h:1", "--port", "1", "--sessions", "2"]),
+            "--port requires serve mode (see --help)"
+        );
+        assert_eq!(
+            err(&["--sessions", "2", "--db-pool", "3"]),
+            "--db-pool requires --db-dir (see --help)"
+        );
+        // a client opens no source, so source flags cannot conflict
+        let cfg = CliConfig::parse(&argv(&["connect", "h:1", "--source", "d"])).unwrap();
+        assert_eq!(cfg.source_dir.as_deref(), Some("d"));
+        // --help wins over every conflict
+        assert!(
+            CliConfig::parse(&argv(&["--port", "1", "--help"]))
+                .unwrap()
+                .help
+        );
+    }
+
+    #[test]
+    fn the_session_pool_carries_the_cache_flags() {
+        use clio_datagen::paper::{kids_target, paper_database};
+        let cfg = CliConfig::parse(&argv(&[
+            "--no-cache",
+            "--cache-policy",
+            "lru",
+            "--sessions",
+            "3",
+            "a.clio",
+        ]))
+        .unwrap();
+        let pool = cfg.session_pool(paper_database(), kids_target());
+        assert_eq!(pool.width(), 3);
+        assert!(pool.store().is_none());
+        let session = pool.session();
+        assert!(!session.cache().enabled());
+        assert_eq!(session.cache().policy(), clio_incr::EvictionPolicy::Lru);
+        // serve shares one store between connections even without --cache-dir
+        let cfg = CliConfig::parse(&argv(&["serve"])).unwrap();
+        let pool = cfg.session_pool(paper_database(), kids_target());
+        assert!(pool.store().is_some());
+        assert!(pool.session().cache().enabled());
     }
 
     #[test]

@@ -5,7 +5,6 @@
 use std::fmt::Write as _;
 
 use clio_core::illustration::Illustration;
-use clio_core::script::{parse_mapping, write_mapping};
 use clio_core::session::Session;
 use clio_core::sql::{generate_sql, SqlOptions};
 use clio_relational::error::{Error, Result};
@@ -52,6 +51,22 @@ impl Shell {
         }
     }
 
+    /// Read a MAP statement file and adopt it as a new workspace,
+    /// returning the workspace id — the one handler behind `load`,
+    /// `map load` and the binary's `--mapping` flag.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable file, a MAP parse error (with its line and
+    /// column), or a mapping that does not fit the session's target.
+    pub fn load_mapping(&mut self, path: &str) -> Result<usize> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| Error::Invalid(format!("cannot read `{path}`: {e}")))?;
+        let m = clio_lang::parse_map(&text)?;
+        self.session
+            .adopt_mapping(m, &format!("loaded from {path}"))
+    }
+
     fn dispatch(&mut self, cmd: Command) -> Result<String> {
         match cmd {
             // Noop/Quit are consumed by `execute`; they produce nothing.
@@ -78,34 +93,20 @@ impl Shell {
                 if ids.len() == 1 {
                     Ok(format!("ok (workspace {})\n", ids[0]))
                 } else {
-                    let mut out = format!(
+                    let head = format!(
                         "{} scenario(s) created; inspect and confirm one:\n",
                         ids.len()
                     );
-                    for id in ids {
-                        let w = self.workspace(id)?;
-                        let _ = writeln!(out, "  workspace {id}: {}", w.description);
-                    }
-                    Ok(out)
+                    self.scenarios(head, &ids)
                 }
             }
             Command::Walk { start, relation } => {
                 let ids = self.session.data_walk(start.as_deref(), &relation)?;
-                let mut out = format!("{} scenario(s):\n", ids.len());
-                for id in ids {
-                    let w = self.workspace(id)?;
-                    let _ = writeln!(out, "  workspace {id}: {}", w.description);
-                }
-                Ok(out)
+                self.scenarios(format!("{} scenario(s):\n", ids.len()), &ids)
             }
             Command::Chase { alias, attr, value } => {
                 let ids = self.session.data_chase(&alias, &attr, &Value::str(value))?;
-                let mut out = format!("{} scenario(s):\n", ids.len());
-                for id in ids {
-                    let w = self.workspace(id)?;
-                    let _ = writeln!(out, "  workspace {id}: {}", w.description);
-                }
-                Ok(out)
+                self.scenarios(format!("{} scenario(s):\n", ids.len()), &ids)
             }
             Command::Workspaces => {
                 let mut out = String::new();
@@ -175,18 +176,13 @@ impl Shell {
                 Ok("ok\n".to_owned())
             }
             Command::SaveMapping { path } => {
-                let text = write_mapping(&self.active()?.mapping);
+                let text = clio_lang::print_mapping(&self.active()?.mapping);
                 std::fs::write(&path, &text)
                     .map_err(|e| Error::Invalid(format!("cannot write `{path}`: {e}")))?;
                 Ok(format!("saved to {path}\n"))
             }
-            Command::LoadMapping { path } => {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| Error::Invalid(format!("cannot read `{path}`: {e}")))?;
-                let m = parse_mapping(&text)?;
-                let id = self
-                    .session
-                    .adopt_mapping(m, &format!("loaded from {path}"))?;
+            Command::LoadMapping { path } | Command::Map(MapAction::Load(path)) => {
+                let id = self.load_mapping(&path)?;
                 Ok(format!("loaded as workspace {id}\n"))
             }
             Command::Status => {
@@ -347,15 +343,6 @@ impl Shell {
             }
             Command::Cache(action) => self.cache_command(action),
             Command::Db(action) => self.db_command(action),
-            Command::Map(MapAction::Load(path)) => {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| Error::Invalid(format!("cannot read `{path}`: {e}")))?;
-                let m = clio_lang::parse_map(&text)?;
-                let id = self
-                    .session
-                    .adopt_mapping(m, &format!("loaded from {path}"))?;
-                Ok(format!("loaded as workspace {id}\n"))
-            }
             Command::Map(MapAction::Show) => Ok(clio_lang::print_mapping(&self.active()?.mapping)),
             Command::Explain => self.session.explain_active(),
             Command::Trace { filter } => {
@@ -450,49 +437,35 @@ impl Shell {
                 Ok("ok\n".to_owned())
             }
             CacheAction::Save(dir) => {
-                let n = match dir {
-                    Some(dir) => {
-                        let store = clio_incr::DiskStore::open(
-                            std::path::Path::new(&dir),
-                            clio_incr::database_digest(self.session.database()),
-                        );
-                        cache.spill_to(&store)
-                    }
-                    None => match cache.store() {
-                        Some(store) => cache.spill_to(store.as_ref()),
-                        None => {
-                            return Err(Error::Invalid(
-                                "no cache store attached (start the shell with --cache-dir \
-                                 or pass a directory: `cache save <dir>`)"
-                                    .into(),
-                            ))
-                        }
-                    },
-                };
+                let n = cache.spill_to(self.cache_store(dir, "save")?.as_ref());
                 Ok(format!("saved {n} entry(ies)\n"))
             }
             CacheAction::Load(dir) => {
-                let n = match dir {
-                    Some(dir) => {
-                        let store = clio_incr::DiskStore::open(
-                            std::path::Path::new(&dir),
-                            clio_incr::database_digest(self.session.database()),
-                        );
-                        cache.preload_from(&store)
-                    }
-                    None => match cache.store() {
-                        Some(store) => cache.preload_from(store.as_ref()),
-                        None => {
-                            return Err(Error::Invalid(
-                                "no cache store attached (start the shell with --cache-dir \
-                                 or pass a directory: `cache load <dir>`)"
-                                    .into(),
-                            ))
-                        }
-                    },
-                };
+                let n = cache.preload_from(self.cache_store(dir, "load")?.as_ref());
                 Ok(format!("loaded {n} entry(ies)\n"))
             }
+        }
+    }
+
+    /// The store `cache save|load [<dir>]` works against: a disk store
+    /// under `dir` (namespaced by the source's digest), else the
+    /// attached store.
+    fn cache_store(
+        &self,
+        dir: Option<String>,
+        verb: &str,
+    ) -> Result<std::sync::Arc<dyn clio_incr::CacheStore>> {
+        match dir {
+            Some(dir) => Ok(std::sync::Arc::new(clio_incr::DiskStore::open(
+                std::path::Path::new(&dir),
+                clio_incr::database_digest(self.session.database()),
+            ))),
+            None => self.session.cache().store().ok_or_else(|| {
+                Error::Invalid(format!(
+                    "no cache store attached (start the shell with --cache-dir \
+                     or pass a directory: `cache {verb} <dir>`)"
+                ))
+            }),
         }
     }
 
@@ -503,7 +476,10 @@ impl Shell {
     /// docs/storage.md); `db load` restarts the session over such a
     /// directory, reusing its persisted value index instead of
     /// rebuilding one. Loading replaces the whole session, so
-    /// workspaces, accepted mappings, and the cache start fresh.
+    /// workspaces, accepted mappings, and the cache's contents start
+    /// fresh; the cache's settings (on/off, policy, byte limit) carry
+    /// over. A persistent store stays behind: it is namespaced by the
+    /// previous database's digest.
     fn db_command(&mut self, action: DbAction) -> Result<String> {
         match action {
             DbAction::Stats => {
@@ -536,7 +512,7 @@ impl Shell {
                     path,
                     clio_pager::DEFAULT_PAGE_SIZE,
                 )?;
-                let spec = clio_relational::storage::target_spec(self.session.target_schema());
+                let spec = clio_lang::print_target_schema(self.session.target_schema());
                 std::fs::write(path.join("_target.txt"), format!("{spec}\n")).map_err(|e| {
                     Error::Invalid(format!("cannot write `{dir}/_target.txt`: {e}"))
                 })?;
@@ -551,8 +527,13 @@ impl Shell {
                     clio_relational::storage::open_paged(path, crate::config::DEFAULT_DB_POOL)?;
                 let target_text = std::fs::read_to_string(path.join("_target.txt"))
                     .map_err(|e| Error::Invalid(format!("cannot read `{dir}/_target.txt`: {e}")))?;
-                let target = clio_core::script::parse_target_schema(target_text.trim())?;
-                self.session = Session::shared(std::sync::Arc::new(db), target);
+                let target = clio_lang::parse_target_schema(&target_text)?;
+                let mut session = Session::shared(std::sync::Arc::new(db), target);
+                let cache = self.session.cache();
+                session.set_cache_enabled(cache.enabled());
+                session.set_cache_policy(cache.policy());
+                session.cache().set_capacity(cache.capacity());
+                self.session = session;
                 Ok(format!(
                     "loaded {dir} ({} relation(s), {} row(s))\n",
                     self.session.database().relation_count(),
@@ -566,6 +547,19 @@ impl Shell {
         self.session
             .active()
             .ok_or_else(|| Error::Invalid("no active workspace; start with `corr`".into()))
+    }
+
+    /// `head` followed by one `  workspace <id>: <description>` line per
+    /// new scenario.
+    fn scenarios(&self, mut head: String, ids: &[usize]) -> Result<String> {
+        for &id in ids {
+            let _ = writeln!(
+                head,
+                "  workspace {id}: {}",
+                self.workspace(id)?.description
+            );
+        }
+        Ok(head)
     }
 
     fn workspace(&self, id: usize) -> Result<&clio_core::session::Workspace> {

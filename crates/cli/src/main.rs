@@ -12,15 +12,13 @@
 //! ```
 
 use std::io::{BufRead, Write};
-use std::sync::Arc;
+use std::path::Path;
 
 use clio_cli::config::{CliConfig, Mode, DEFAULT_DB_POOL};
 use clio_cli::engine::{Outcome, Shell};
-use clio_core::session::Session;
 use clio_core::session_pool::SessionPool;
 use clio_datagen::paper::{kids_target, paper_database};
 use clio_datagen::synthetic::{generate, SyntheticSpec};
-use clio_incr::CacheStore;
 use clio_relational::database::Database;
 use clio_relational::schema::RelSchema;
 
@@ -43,40 +41,54 @@ fn synthetic_source(spec: SyntheticSpec) -> (Database, RelSchema) {
     (db, w.target)
 }
 
-/// Execute script files as concurrent sessions over one shared source
-/// snapshot, printing each session's output (in input order) framed by a
+/// Open the configured source and target schema: a CSV directory
+/// (`--source`), a paged directory (`--db-dir`, whose `_target.txt`
+/// names the target unless `--target` does), a synthetic source, or
+/// the paper's dataset. Flag combinations were already validated by
+/// [`CliConfig::parse`]; the error is the binary's exact stderr line.
+fn open_source(cfg: &CliConfig) -> Result<(Database, RelSchema), String> {
+    let parse_target =
+        |spec: &str| clio_lang::parse_target_schema(spec).map_err(|e| format!("bad --target: {e}"));
+    if let Some(dir) = &cfg.source_dir {
+        let db = clio_relational::csv::read_database(Path::new(dir))
+            .map_err(|e| format!("cannot load `{dir}`: {e}"))?;
+        let spec = cfg.target_spec.as_deref().unwrap_or_default();
+        return Ok((db, parse_target(spec)?));
+    }
+    if let Some(dir) = &cfg.db_dir {
+        let pool = cfg.db_pool.unwrap_or(DEFAULT_DB_POOL);
+        let db = clio_relational::storage::open_paged(Path::new(dir), pool)
+            .map_err(|e| format!("cannot load `{dir}`: {e}"))?;
+        let spec = match &cfg.target_spec {
+            Some(spec) => spec.clone(),
+            None => std::fs::read_to_string(Path::new(dir).join("_target.txt")).map_err(|_| {
+                "--db-dir requires --target or a `_target.txt` in the directory".to_owned()
+            })?,
+        };
+        return Ok((db, parse_target(&spec)?));
+    }
+    Ok(cfg
+        .synthetic
+        .map_or_else(|| (paper_database(), kids_target()), synthetic_source))
+}
+
+/// Execute script files as concurrent sessions of the pool, printing
+/// each session's output (in input order) framed by a
 /// `=== session <i>: <path> ===` header. Each session's body is
 /// byte-identical to what `--script <path>` would print for the same
 /// source: scripts are read upfront (first unreadable file by input
 /// order exits 2), sessions run on the pool, and outputs are buffered
 /// per session and merged deterministically.
-fn run_batch(
-    db: Database,
-    target: RelSchema,
-    scripts: &[String],
-    width: usize,
-    no_cache: bool,
-    cache_policy: Option<clio_incr::EvictionPolicy>,
-    store: Option<Arc<dyn CacheStore>>,
-) {
-    let mut bodies: Vec<String> = Vec::new();
-    for path in scripts {
-        match std::fs::read_to_string(path) {
-            Ok(text) => bodies.push(text),
-            Err(e) => {
+fn run_batch(pool: &SessionPool, scripts: &[String]) {
+    let bodies: Vec<String> = scripts
+        .iter()
+        .map(|path| {
+            std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("cannot open `{path}`: {e}");
                 std::process::exit(2);
-            }
-        }
-    }
-    let mut pool = SessionPool::new(db, target).with_width(width);
-    if let Some(store) = store {
-        pool = pool.with_store(store);
-    }
-    pool.set_cache_enabled(!no_cache);
-    if let Some(policy) = cache_policy {
-        pool.set_cache_policy(policy);
-    }
+            })
+        })
+        .collect();
     let outputs = pool.run(bodies.len(), |i, session| {
         let mut shell = Shell::new(session);
         let mut out = String::new();
@@ -94,6 +106,40 @@ fn run_batch(
     for (i, (path, text)) in scripts.iter().zip(&outputs).enumerate() {
         println!("=== session {i}: {path} ===");
         print!("{text}");
+    }
+}
+
+/// Run one shell session over `--script` (echoing each line after a
+/// `clio> ` prompt) or interactively over stdin, after adopting the
+/// `--mapping` statement, if any, as the first workspace.
+fn run_shell(cfg: &CliConfig, mut shell: Shell) {
+    if let Some(path) = &cfg.mapping_file {
+        if let Err(e) = shell.load_mapping(path) {
+            eprintln!("bad --mapping: {e}");
+            std::process::exit(2);
+        }
+    }
+    let reader = clio_cli::serve::command_input(cfg.script.as_deref());
+    let interactive = cfg.script.is_none();
+    let mut out = std::io::stdout();
+    if interactive {
+        println!("clio mapping shell — type `help` for commands");
+        print!("clio> ");
+        out.flush().ok();
+    }
+    for line in reader.lines() {
+        let Ok(line) = line else { break };
+        if !interactive {
+            println!("clio> {line}");
+        }
+        match shell.execute(&line) {
+            Outcome::Continue(text) => print!("{text}"),
+            Outcome::Quit => break,
+        }
+        if interactive {
+            print!("clio> ");
+            out.flush().ok();
+        }
     }
 }
 
@@ -188,45 +234,7 @@ fn main() {
         print!("{}", usage());
         return;
     }
-
-    // Mode strictness: the networking knobs belong to `serve`, and the
-    // local batch/script machinery has no meaning on a socket.
-    if cfg.mode != Mode::Serve {
-        for (given, flag) in [
-            (cfg.port.is_some(), "--port"),
-            (cfg.max_conns.is_some(), "--max-conns"),
-            (cfg.idle_ms.is_some(), "--idle-ms"),
-        ] {
-            if given {
-                eprintln!("{flag} requires serve mode (see --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if cfg.mode != Mode::Local {
-        let mode_word = if cfg.mode == Mode::Serve {
-            "serve"
-        } else {
-            "connect"
-        };
-        if cfg.mapping_file.is_some() {
-            eprintln!("--mapping requires local mode (use `map load` over the wire; see --help)");
-            std::process::exit(2);
-        }
-        if !cfg.batch_scripts.is_empty() {
-            eprintln!("{mode_word} mode takes no positional script arguments (see --help)");
-            std::process::exit(2);
-        }
-        if cfg.sessions_width.is_some() {
-            eprintln!("--sessions conflicts with {mode_word} mode (see --help)");
-            std::process::exit(2);
-        }
-    }
     if cfg.mode == Mode::Serve {
-        if cfg.script.is_some() {
-            eprintln!("--script conflicts with serve mode (see --help)");
-            std::process::exit(2);
-        }
         if let Err(e) = cfg.apply_net_env(|key| std::env::var(key).ok()) {
             eprintln!("{e}");
             std::process::exit(2);
@@ -260,200 +268,21 @@ fn main() {
         return;
     }
 
-    let mut source = cfg.synthetic.map(synthetic_source);
-    if let Some(dir) = &cfg.source_dir {
-        let db = match clio_relational::csv::read_database(std::path::Path::new(dir)) {
-            Ok(db) => db,
-            Err(e) => {
-                eprintln!("cannot load `{dir}`: {e}");
-                std::process::exit(2);
-            }
-        };
-        let target = match &cfg.target_spec {
-            Some(spec) => match clio_core::script::parse_target_schema(spec) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("bad --target: {e}");
-                    std::process::exit(2);
-                }
-            },
-            None => {
-                eprintln!("--source requires --target \"Name (attr type, ...)\"");
-                std::process::exit(2);
-            }
-        };
-        source = Some((db, target));
-    }
-    if cfg.db_pool.is_some() && cfg.db_dir.is_none() {
-        eprintln!("--db-pool requires --db-dir (see --help)");
+    let (db, target) = open_source(&cfg).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
         std::process::exit(2);
-    }
-    if let Some(dir) = &cfg.db_dir {
-        if cfg.source_dir.is_some() {
-            eprintln!("--db-dir conflicts with --source (see --help)");
-            std::process::exit(2);
-        }
-        if cfg.synthetic.is_some() {
-            eprintln!("--db-dir conflicts with --synthetic (see --help)");
-            std::process::exit(2);
-        }
-        let pool = cfg.db_pool.unwrap_or(DEFAULT_DB_POOL);
-        let db = match clio_relational::storage::open_paged(std::path::Path::new(dir), pool) {
-            Ok(db) => db,
-            Err(e) => {
-                eprintln!("cannot load `{dir}`: {e}");
-                std::process::exit(2);
-            }
-        };
-        // --target wins; otherwise the directory's own `_target.txt`
-        // (written by `db save`) names the target schema.
-        let spec = match &cfg.target_spec {
-            Some(spec) => spec.clone(),
-            None => {
-                let path = std::path::Path::new(dir).join("_target.txt");
-                match std::fs::read_to_string(&path) {
-                    Ok(text) => text.trim().to_owned(),
-                    Err(_) => {
-                        eprintln!("--db-dir requires --target or a `_target.txt` in the directory");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        };
-        let target = match clio_core::script::parse_target_schema(&spec) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bad --target: {e}");
-                std::process::exit(2);
-            }
-        };
-        source = Some((db, target));
-    }
-
-    let (db, target) = source.unwrap_or_else(|| (paper_database(), kids_target()));
-
-    // The on-disk store is namespaced by a digest of the source, so one
-    // --cache-dir can serve many databases without cross-talk.
-    let store: Option<Arc<dyn CacheStore>> = cfg.cache_dir.as_ref().map(|dir| {
-        Arc::new(clio_incr::DiskStore::open(
-            std::path::Path::new(dir),
-            clio_incr::database_digest(&db),
-        )) as Arc<dyn CacheStore>
     });
-
+    let pool = cfg.session_pool(db, target);
     if cfg.mode == Mode::Serve {
-        if let Err(e) = clio_cli::serve::run_server(&cfg, db, target, store) {
+        if let Err(e) = clio_cli::serve::run_server(&cfg, &pool) {
             eprintln!("cannot serve: {e}");
             std::process::exit(2);
         }
-        finish_reports(&cfg);
-        return;
+    } else if !cfg.batch_scripts.is_empty() {
+        run_batch(&pool, &cfg.batch_scripts);
+    } else {
+        run_shell(&cfg, Shell::new(pool.session()));
     }
-
-    if !cfg.batch_scripts.is_empty() {
-        if cfg.script.is_some() {
-            eprintln!("--script conflicts with positional script arguments (see --help)");
-            std::process::exit(2);
-        }
-        if cfg.mapping_file.is_some() {
-            eprintln!("--mapping conflicts with positional script arguments (see --help)");
-            std::process::exit(2);
-        }
-        let width = cfg.sessions_width.unwrap_or(1);
-        run_batch(
-            db,
-            target,
-            &cfg.batch_scripts,
-            width,
-            cfg.no_cache,
-            cfg.cache_policy,
-            store,
-        );
-        finish_reports(&cfg);
-        return;
-    }
-    if cfg.sessions_width.is_some() {
-        eprintln!("--sessions requires positional script arguments (see --help)");
-        std::process::exit(2);
-    }
-
-    let mut session = Session::new(db, target);
-    if cfg.no_cache {
-        session.set_cache_enabled(false);
-    }
-    if let Some(policy) = cfg.cache_policy {
-        session.set_cache_policy(policy);
-    }
-    if let Some(store) = store {
-        session.attach_store(store);
-    }
-    if let Some(path) = &cfg.mapping_file {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read `{path}`: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mapping = match clio_lang::parse_map(&text) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("bad --mapping: {e}");
-                std::process::exit(2);
-            }
-        };
-        if let Err(e) = session.adopt_mapping(mapping, &format!("loaded from {path}")) {
-            eprintln!("bad --mapping: {e}");
-            std::process::exit(2);
-        }
-    }
-    let mut shell = Shell::new(session);
-
-    let stdin;
-    let file;
-    let reader: Box<dyn BufRead> = match &cfg.script {
-        Some(path) => {
-            file = std::fs::File::open(path).unwrap_or_else(|e| {
-                eprintln!("cannot open `{path}`: {e}");
-                std::process::exit(2);
-            });
-            Box::new(std::io::BufReader::new(file))
-        }
-        None => {
-            stdin = std::io::stdin();
-            Box::new(stdin.lock())
-        }
-    };
-
-    let interactive = cfg.script.is_none();
-    if interactive {
-        println!("clio mapping shell — type `help` for commands");
-    }
-    let mut out = std::io::stdout();
-    if interactive {
-        print!("clio> ");
-        out.flush().ok();
-    }
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if cfg.script.is_some() {
-            println!("clio> {line}");
-        }
-        match shell.execute(&line) {
-            Outcome::Continue(text) => {
-                print!("{text}");
-            }
-            Outcome::Quit => break,
-        }
-        if interactive {
-            print!("clio> ");
-            out.flush().ok();
-        }
-    }
-
     finish_reports(&cfg);
 }
 

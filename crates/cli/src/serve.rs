@@ -1,7 +1,7 @@
 //! The `serve` and `connect` front-ends: bridging `clio-net`'s framed
 //! TCP protocol onto the local [`Shell`].
 //!
-//! `serve` builds one [`SessionPool`] — one `Arc`-shared
+//! `serve` takes the binary's one [`SessionPool`] — one `Arc`-shared
 //! `Database`/`ValueIndex` snapshot and one shared `CacheStore` — and
 //! hands every accepted connection a private copy-on-write session
 //! wrapped in a [`ShellHandler`]. `connect` replays `--script` (or
@@ -10,14 +10,10 @@
 //! run of the same commands. See docs/service.md.
 
 use std::io::{BufRead, Write};
-use std::sync::Arc;
 use std::time::Duration;
 
 use clio_core::session_pool::SessionPool;
-use clio_incr::{CacheStore, MemStore};
 use clio_net::{Client, Handler, Response, Server, ServerConfig};
-use clio_relational::database::Database;
-use clio_relational::schema::RelSchema;
 
 use crate::command::{self, Command};
 use crate::config::CliConfig;
@@ -28,52 +24,11 @@ use crate::engine::{Outcome, Shell};
 pub const DEFAULT_IDLE_MS: u64 = 30_000;
 
 /// The `net.request.*` histogram for one request line, keyed by the
-/// parsed command kind (`net.request.invalid` for unparseable lines).
-/// Histogram names must be `'static`, hence the explicit table.
+/// parsed command's kind (`net.request.invalid` for an unparseable
+/// line).
 #[must_use]
 pub fn request_hist_name(line: &str) -> &'static str {
-    let Ok(cmd) = command::parse(line) else {
-        return "net.request.invalid";
-    };
-    match cmd.kind() {
-        "noop" => "net.request.noop",
-        "quit" => "net.request.quit",
-        "help" => "net.request.help",
-        "source" => "net.request.source",
-        "show" => "net.request.show",
-        "target" => "net.request.target",
-        "corr" => "net.request.corr",
-        "walk" => "net.request.walk",
-        "chase" => "net.request.chase",
-        "workspaces" => "net.request.workspaces",
-        "activate" => "net.request.activate",
-        "confirm" => "net.request.confirm",
-        "delete" => "net.request.delete",
-        "accept" => "net.request.accept",
-        "illustration" => "net.request.illustration",
-        "induced" => "net.request.induced",
-        "alternatives" => "net.request.alternatives",
-        "swap" => "net.request.swap",
-        "examples" => "net.request.examples",
-        "mapping" => "net.request.mapping",
-        "sql" => "net.request.sql",
-        "filter" => "net.request.filter",
-        "require" => "net.request.require",
-        "status" => "net.request.status",
-        "stats" => "net.request.stats",
-        "trace" => "net.request.trace",
-        "cache" => "net.request.cache",
-        "db" => "net.request.db",
-        "profile" => "net.request.profile",
-        "mine" => "net.request.mine",
-        "verify" => "net.request.verify",
-        "contributions" => "net.request.contributions",
-        "save" => "net.request.save",
-        "load" => "net.request.load",
-        "map" => "net.request.map",
-        "explain" => "net.request.explain",
-        _ => "net.request.other",
-    }
+    command::parse(line).map_or("net.request.invalid", |cmd| cmd.hist_name())
 }
 
 /// Adapts one connection's [`Shell`] to the wire: parse for the
@@ -109,26 +64,15 @@ impl Handler for ShellHandler {
     }
 }
 
-/// Run `clio serve`: build the shared pool, bind, announce
-/// `listening on <addr>` on stdout, and serve until a client sends
-/// `shutdown`. Without `--cache-dir` the connections still share one
-/// in-memory [`MemStore`], so one client's spilled work warms the next.
+/// Run `clio serve`: bind, announce `listening on <addr>` on stdout,
+/// and hand every connection a session of `pool` (built by
+/// [`CliConfig::session_pool`], which gives `serve` a shared store even
+/// without `--cache-dir`) until a client sends `shutdown`.
 ///
 /// # Errors
 ///
 /// Bind/listen failures (the caller reports and exits 2).
-pub fn run_server(
-    cfg: &CliConfig,
-    db: Database,
-    target: RelSchema,
-    store: Option<Arc<dyn CacheStore>>,
-) -> std::io::Result<()> {
-    let store = store.unwrap_or_else(|| Arc::new(MemStore::new()) as Arc<dyn CacheStore>);
-    let mut pool = SessionPool::new(db, target).with_store(store);
-    pool.set_cache_enabled(!cfg.no_cache);
-    if let Some(policy) = cfg.cache_policy {
-        pool.set_cache_policy(policy);
-    }
+pub fn run_server(cfg: &CliConfig, pool: &SessionPool) -> std::io::Result<()> {
     let config = ServerConfig {
         max_conns: cfg.max_conns.unwrap_or_else(clio_relational::exec::threads),
         idle_timeout: Duration::from_millis(cfg.idle_ms.unwrap_or(DEFAULT_IDLE_MS)),
@@ -138,6 +82,22 @@ pub fn run_server(
     println!("listening on {}", server.local_addr()?);
     std::io::stdout().flush().ok();
     server.run(|_conn| Box::new(ShellHandler::new(Shell::new(pool.session()))) as Box<dyn Handler>)
+}
+
+/// The command lines of a local shell or a `connect` client: the
+/// `--script` file, or stdin without one. An unreadable script exits 2.
+#[must_use]
+pub fn command_input(script: Option<&str>) -> Box<dyn BufRead> {
+    match script {
+        Some(path) => match std::fs::File::open(path) {
+            Ok(file) => Box::new(std::io::BufReader::new(file)),
+            Err(e) => {
+                eprintln!("cannot open `{path}`: {e}");
+                std::process::exit(2);
+            }
+        },
+        None => Box::new(std::io::stdin().lock()),
+    }
 }
 
 /// Run `clio connect <addr>`: replay `--script` (or stdin) lines
@@ -154,25 +114,7 @@ pub fn run_client(addr: &str, script: Option<&str>) {
             std::process::exit(2);
         }
     };
-    let stdin;
-    let file;
-    let reader: Box<dyn BufRead> = match script {
-        Some(path) => {
-            file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot open `{path}`: {e}");
-                    std::process::exit(2);
-                }
-            };
-            Box::new(std::io::BufReader::new(file))
-        }
-        None => {
-            stdin = std::io::stdin();
-            Box::new(stdin.lock())
-        }
-    };
-    for line in reader.lines() {
+    for line in command_input(script).lines() {
         let Ok(line) = line else { break };
         println!("clio> {line}");
         match client.request(&line) {

@@ -496,14 +496,15 @@ fn cache_reports_a_warm_result_after_target_on_a_pushed_cycle() {
     let mapping = tmp_path("warm_cycle.map");
     std::fs::write(
         &mapping,
-        "target Kids (ID str not null, name str, affiliation str, address str, \
+        "MAP Kids (ID str not null, name str, affiliation str, address str, \
          contactPh str, BusSchedule str, FamilyIncome int)\n\
-         node Children\nnode Parents\nnode PhoneDir\n\
-         edge Children -- Parents : Children.mid = Parents.ID\n\
-         edge Parents -- PhoneDir : PhoneDir.ID = Parents.ID\n\
-         edge Children -- PhoneDir : Children.mid = PhoneDir.ID\n\
-         corr Children.ID -> ID\ncorr Parents.affiliation -> affiliation\n\
-         corr PhoneDir.number -> contactPh\nwhere source Children.age < 7\n",
+         FROM Children, Parents, PhoneDir\n\
+         JOIN Children, Parents ON Children.mid = Parents.ID\n\
+         JOIN Parents, PhoneDir ON PhoneDir.ID = Parents.ID\n\
+         JOIN Children, PhoneDir ON Children.mid = PhoneDir.ID\n\
+         WHERE SOURCE Children.age < 7\n\
+         SELECT Children.ID AS ID, Parents.affiliation AS affiliation, \
+         PhoneDir.number AS contactPh\n",
     )
     .expect("mapping written");
     let script = tmp_path("warm_cycle.clio");
@@ -964,4 +965,110 @@ fn profile_spans_command_ranks_spans_in_shell() {
     assert!(cold.status.success());
     let stdout = String::from_utf8_lossy(&cold.stdout);
     assert!(stdout.contains("--trace-out"), "{stdout}");
+}
+
+/// Run `commands` as a `--script` with extra flags, returning the output.
+fn run_commands(name: &str, commands: &str, flags: &[&str]) -> Output {
+    let script = tmp_path(name);
+    std::fs::write(&script, commands).expect("script written");
+    let out = shell().args(flags).arg("--script").arg(&script).output();
+    std::fs::remove_file(&script).ok();
+    out.expect("binary runs")
+}
+
+/// `db save` the paper database into a fresh paged directory.
+fn save_paper_db(name: &str) -> PathBuf {
+    let dir = tmp_path(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let script = format!("{name}.clio");
+    let out = run_commands(&script, &format!("db save {}\n", dir.display()), &[]);
+    assert!(out.status.success(), "{out:?}");
+    dir
+}
+
+#[test]
+fn quoted_target_survives_db_save_and_both_reopen_routes() {
+    let p1 = save_paper_db("quoted_p1");
+    let p2 = tmp_path("quoted_p2");
+    let _ = std::fs::remove_dir_all(&p2);
+    let target = "\"Kid s\" (\"ID col\" str not null, name str)";
+    let shown = format!("MAP {target}\n");
+    let map_show = "corr Children.ID -> ID col\nmap show\n";
+    // save from a session over p1, reopen in-process with `db load`
+    let p2s = p2.display();
+    let commands = format!("db save {p2s}\ndb load {p2s}\n{map_show}");
+    let out = run_commands(
+        "quoted_save.clio",
+        &commands,
+        &["--db-dir", p1.to_str().unwrap(), "--target", target],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&format!("loaded {p2s} ")), "{stdout}");
+    assert!(stdout.contains(&shown), "{stdout}");
+    // ... and at startup, where `_target.txt` alone names the target
+    let out = run_commands(
+        "quoted_reopen.clio",
+        map_show,
+        &["--db-dir", p2.to_str().unwrap()],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && stdout.contains(&shown), "{out:?}");
+    std::fs::remove_dir_all(&p1).ok();
+    std::fs::remove_dir_all(&p2).ok();
+}
+
+#[test]
+fn db_load_keeps_the_cache_settings() {
+    let dir = save_paper_db("cache_settings_db");
+    let commands = format!("cache limit 4096\ndb load {}\ncache\n", dir.display());
+    let out = run_commands(
+        "cache_settings.clio",
+        &commands,
+        &["--no-cache", "--cache-policy", "lru"],
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for line in ["cache: off\n", "of 4096 capacity)\n", "policy: lru "] {
+        assert!(stdout.contains(line), "{line}: {stdout}");
+    }
+}
+
+#[test]
+fn pooled_sessions_load_the_stored_index_like_a_single_session() {
+    let dir = save_paper_db("stored_index_db");
+    let script = tmp_path("stored_index.clio");
+    std::fs::write(&script, "corr Children.ID -> ID\ntarget\n").expect("script written");
+    let (trace, metrics) = (
+        tmp_path("stored_index.jsonl"),
+        tmp_path("stored_index.json"),
+    );
+    // the single shell, then one pooled batch session, over the same directory
+    let mut runs = Vec::new();
+    for mode in [&["--script"][..], &["--sessions", "1"]] {
+        let mut cmd = shell();
+        cmd.arg("--db-dir").arg(&dir).arg("--trace-out").arg(&trace);
+        cmd.arg("--metrics").arg(&metrics).args(mode).arg(&script);
+        let out = cmd.output().expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        let events = std::fs::read_to_string(&trace).expect("trace written");
+        assert!(!events.contains("index.build"), "{mode:?} built an index");
+        // the top-level counter block's pager lines
+        let json = std::fs::read_to_string(&metrics).expect("metrics written");
+        let top = &json[..json.find("\n  }").expect("counter block")];
+        let pager: Vec<String> = top
+            .lines()
+            .filter(|l| l.contains("\"pager."))
+            .map(str::to_owned)
+            .collect();
+        runs.push(pager);
+    }
+    for path in [&script, &trace, &metrics] {
+        std::fs::remove_file(path).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(runs[0].len(), 6, "{runs:?}");
+    assert_eq!(
+        runs[0], runs[1],
+        "pager traffic differs between the two runs"
+    );
 }

@@ -55,6 +55,20 @@ pub struct Workspace {
     pub graph_before_last_link: Option<QueryGraph>,
 }
 
+/// Derive the state every session over `db` shares: the value index
+/// and the foreign-key-seeded schema knowledge. A paged database that
+/// ships a persisted index (`_index.clh`) has it loaded instead of
+/// rebuilt, so opening a session does not scan every relation. Both
+/// [`Session::shared`] and `SessionPool` derive their snapshot here.
+#[must_use]
+pub(crate) fn derive_snapshot(db: &Database) -> (Arc<ValueIndex>, SchemaKnowledge) {
+    let knowledge = SchemaKnowledge::from_database(db);
+    let index = db
+        .stored_index()
+        .unwrap_or_else(|| Arc::new(ValueIndex::build(db)));
+    (index, knowledge)
+}
+
 /// A Clio mapping session.
 ///
 /// The source database and value index are held behind [`Arc`]s, so
@@ -95,17 +109,12 @@ impl Session {
     }
 
     /// Start a session over an `Arc`-shared source snapshot without
-    /// copying it. Knowledge and the value index are still derived
-    /// eagerly — except over a paged database that ships a persisted
-    /// index (`_index.clh`), which is loaded instead of rebuilt so
-    /// opening a session does not scan every relation. Use
-    /// [`Session::from_parts`] to share pre-built parts directly.
+    /// copying it; knowledge and the value index are derived once
+    /// (a paged database's persisted index is loaded, not rebuilt). Use [`Session::from_parts`] to share
+    /// pre-built parts directly.
     #[must_use]
     pub fn shared(db: Arc<Database>, target: RelSchema) -> Session {
-        let knowledge = SchemaKnowledge::from_database(&db);
-        let index = db
-            .stored_index()
-            .unwrap_or_else(|| Arc::new(ValueIndex::build(&db)));
+        let (index, knowledge) = derive_snapshot(&db);
         Session::from_parts(db, index, knowledge, target)
     }
 

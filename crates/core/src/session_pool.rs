@@ -29,7 +29,7 @@ use clio_relational::index::ValueIndex;
 use clio_relational::schema::RelSchema;
 
 use crate::knowledge::SchemaKnowledge;
-use crate::session::Session;
+use crate::session::{derive_snapshot, Session};
 
 /// Static span names for the first pooled sessions; higher indices share
 /// a single overflow name (span names must be `&'static str`).
@@ -84,10 +84,12 @@ impl SessionPool {
     }
 
     /// Build a pool over an already-shared snapshot without copying it.
+    /// The index and knowledge are derived exactly as for
+    /// [`Session::shared`], so a pool over a paged database loads its
+    /// persisted index instead of rebuilding it.
     #[must_use]
     pub fn from_shared(db: Arc<Database>, target: RelSchema) -> SessionPool {
-        let knowledge = SchemaKnowledge::from_database(&db);
-        let index = Arc::new(ValueIndex::build(&db));
+        let (index, knowledge) = derive_snapshot(&db);
         SessionPool {
             db,
             index,
@@ -294,6 +296,22 @@ mod tests {
         });
         assert_eq!(rows, vec![3, 2, 3, 2]);
         assert_eq!(pool.database().relation("Children").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn pool_over_a_paged_database_loads_the_stored_index() {
+        let dir = std::env::temp_dir().join(format!("clio-pool-paged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        clio_relational::storage::save_database(&db(), &dir, 4096).unwrap();
+        let paged = Arc::new(clio_relational::storage::open_paged(&dir, 4).unwrap());
+        let stored = paged.stored_index().expect("index persisted");
+        let pool = SessionPool::from_shared(Arc::clone(&paged), target());
+        assert!(
+            Arc::ptr_eq(&pool.index, &stored),
+            "the pool must load the persisted index, not rebuild it"
+        );
+        assert_eq!(preview_rows(pool.session()), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

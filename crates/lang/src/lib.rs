@@ -1,9 +1,8 @@
-//! `clio-lang` — a small SQL-ish surface language for schema mappings.
+//! `clio-lang` — the one text format for Clio schema mappings.
 //!
-//! The mapping script format (`clio_core::script`) is line-oriented and
-//! diff-friendly; this crate adds a clause-oriented language that reads
-//! like the SQL a mapping compiles to (paper Sec 5), covering everything
-//! the script format can express:
+//! A mapping is saved, reloaded and shown as a clause-oriented `MAP`
+//! statement that reads like the SQL a mapping compiles to (paper
+//! Sec 5):
 //!
 //! ```text
 //! MAP Kids (ID str not null, contactPh str)
@@ -22,6 +21,10 @@
 //!   [`parse_map`] does both.
 //! * [`print_mapping`] renders a mapping back as canonical statement
 //!   text; `parse_map(&print_mapping(&m)) == m` for every mapping.
+//! * [`parse_target_schema`] / [`print_target_schema`] are the one
+//!   parser/printer pair for the target-schema declaration
+//!   `Name (attr type [not null], ...)`: the `MAP` clause, the CLI's
+//!   `--target` flag and a paged database's `_target.txt` all use it.
 //! * Errors carry 1-based line/column positions into the statement
 //!   text, including errors inside embedded expressions (relocated from
 //!   the expression parser) and lowering errors like an unknown `JOIN`
@@ -37,6 +40,8 @@ mod token;
 
 pub mod parser;
 pub mod printer;
+pub mod schema;
 
 pub use parser::{parse_map, parse_statement, JoinDecl, MapStmt, NodeDecl, SelectItem, Spanned};
 pub use printer::{lang_ident, print_mapping};
+pub use schema::{parse_target_schema, print_target_schema};

@@ -13,9 +13,9 @@
 //! node      := relation [AS alias] [CODE code]
 //! ```
 //!
-//! `<target-schema>` is the script format's `Name (attr type [not
-//! null], ...)` declaration, and `<expr>` is the relational expression
-//! language. Expression fragments are delegated to
+//! `<target-schema>` is the `Name (attr type [not null], ...)`
+//! declaration of [`crate::schema`], and `<expr>` is the relational
+//! expression language. Expression fragments are delegated to
 //! [`clio_relational::parser::parse_expr`]; their errors are relocated
 //! so line/column always refer to the original statement text.
 //!
@@ -27,12 +27,12 @@
 //! keyword.
 
 use clio_core::prelude::{Mapping, Node, QueryGraph, ValueCorrespondence};
-use clio_core::script::parse_target_schema;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
 use clio_relational::parser::parse_expr;
 use clio_relational::schema::RelSchema;
 
+use crate::schema::schema_from_tokens;
 use crate::token::{tokenize, TokKind, Token};
 
 /// An identifier with its source position, kept through lowering so
@@ -140,7 +140,7 @@ fn clause_start(toks: &[Token], i: usize) -> Option<Clause> {
     Some(c)
 }
 
-fn err_at(t: &Token, message: impl Into<String>) -> Error {
+pub(crate) fn err_at(t: &Token, message: impl Into<String>) -> Error {
     Error::Parse {
         pos: t.cpos,
         line: t.line,
@@ -161,7 +161,7 @@ fn err_at_span(s: &Spanned, message: impl Into<String>) -> Error {
 }
 
 /// An identifier token (bare word or quoted), as a [`Spanned`].
-fn ident(t: &Token, what: &str) -> Result<Spanned> {
+pub(crate) fn ident(t: &Token, what: &str) -> Result<Spanned> {
     match t.kind {
         TokKind::Word | TokKind::Quoted => Ok(Spanned {
             text: t.text.clone(),
@@ -374,12 +374,7 @@ pub fn parse_statement(input: &str) -> Result<MapStmt> {
                 if body.is_empty() {
                     return Err(err_at(kw, "MAP clause needs a target schema"));
                 }
-                let frag = &input[body[0].start..body[body.len() - 1].end];
-                let schema = parse_target_schema(frag).map_err(|e| match e {
-                    Error::Invalid(msg) => err_at(&body[0], msg),
-                    other => other,
-                })?;
-                target = Some(schema);
+                target = Some(schema_from_tokens(body, kw)?);
             }
             Clause::From => {
                 if nodes.is_some() {
@@ -463,37 +458,59 @@ pub fn parse_map(input: &str) -> Result<Mapping> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clio_core::script;
+    use clio_relational::schema::Attribute;
+    use clio_relational::value::DataType;
 
-    const SAMPLE: &str = "\
-MAP Kids (ID str not null, contactPh str, FamilyIncome int)
-FROM Children, Parents AS Parents2, PhoneDir
-JOIN Children, Parents2 ON Children.mid = Parents2.ID
-JOIN Parents2, PhoneDir ON PhoneDir.ID = Parents2.ID
-WHERE SOURCE Children.age < 7
-WHERE TARGET Kids.ID IS NOT NULL
-SELECT Children.ID AS ID, concat(PhoneDir.type, ',', PhoneDir.number) AS contactPh
-";
+    fn expr(text: &str) -> Expr {
+        parse_expr(text).unwrap()
+    }
 
-    /// The script-format equivalent of [`SAMPLE`].
-    const SAMPLE_SCRIPT: &str = "\
-target Kids (ID str not null, contactPh str, FamilyIncome int)
-node Children
-node Parents2 = Parents
-node PhoneDir
-edge Children -- Parents2 : Children.mid = Parents2.ID
-edge Parents2 -- PhoneDir : PhoneDir.ID = Parents2.ID
-corr Children.ID -> ID
-corr concat(PhoneDir.type, ',', PhoneDir.number) -> contactPh
-where source Children.age < 7
-where target Kids.ID IS NOT NULL
-";
+    /// The paper's seven-attribute Kids target (Figure 1).
+    fn kids_target() -> RelSchema {
+        let s = |name: &str| Attribute::new(name, DataType::Str);
+        RelSchema::new(
+            "Kids",
+            vec![
+                Attribute::not_null("ID", DataType::Str),
+                s("name"),
+                s("affiliation"),
+                s("address"),
+                s("contactPh"),
+                s("BusSchedule"),
+                Attribute::new("FamilyIncome", DataType::Int),
+            ],
+        )
+        .unwrap()
+    }
 
+    /// The cyclic Kids mapping that the planner gate of
+    /// `scripts/verify.sh` loads: `parse_map` of the checked-in file is
+    /// the mapping built by hand, so the gate's `load`/`map load` runs
+    /// evaluate exactly this mapping.
     #[test]
-    fn statement_lowers_to_the_script_equivalent_mapping() {
-        let m = parse_map(SAMPLE).unwrap();
-        let expected = script::parse_mapping(SAMPLE_SCRIPT).unwrap();
-        assert_eq!(m, expected);
+    fn verify_gate_map_file_is_the_hand_built_cycle() {
+        let text = include_str!("../../../examples/scripts/kids_cycle.map");
+        let mut g = QueryGraph::new();
+        let c = g.add_node(Node::new("Children")).unwrap();
+        let p = g.add_node(Node::new("Parents")).unwrap();
+        let ph = g.add_node(Node::new("PhoneDir")).unwrap();
+        g.add_edge(c, p, expr("Children.mid = Parents.ID")).unwrap();
+        g.add_edge(p, ph, expr("PhoneDir.ID = Parents.ID")).unwrap();
+        g.add_edge(c, ph, expr("Children.mid = PhoneDir.ID"))
+            .unwrap();
+        let expected = Mapping::new(g, kids_target())
+            .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
+            .with_correspondence(ValueCorrespondence::identity("Children.name", "name"))
+            .with_correspondence(ValueCorrespondence::identity(
+                "Parents.affiliation",
+                "affiliation",
+            ))
+            .with_correspondence(ValueCorrespondence::identity(
+                "PhoneDir.number",
+                "contactPh",
+            ))
+            .with_source_filter(expr("Children.age < 7"));
+        assert_eq!(parse_map(text).unwrap(), expected);
     }
 
     #[test]

@@ -29,6 +29,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The benchmark package (perfbench/, its own workspace) calls the
+# crates' public API; type-checking it here makes removing an API it
+# uses fail this gate rather than the benchmark run. --locked: the
+# check must not rewrite perfbench/Cargo.lock.
+echo "==> cargo check perfbench (benchmark package type-check)"
+cargo check --offline --locked --quiet --manifest-path perfbench/Cargo.toml
+
 # Benches are part of the contract (EXPERIMENTS.md reproduces from
 # them); they must at least compile even though running them is not a
 # gate.
@@ -193,17 +200,12 @@ echo "    cache.disk_hits = $disk_hits"
 # — timing stays invisible to the counter snapshots by construction.
 echo "==> timing-telemetry gate (demo + cyclic mapping, --trace-out, --metrics)"
 cat > "$tmp_cyclic_map" <<'EOF'
-target Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
-node Children
-node Parents
-node PhoneDir
-edge Children -- Parents : Children.mid = Parents.ID
-edge Parents -- PhoneDir : PhoneDir.ID = Parents.ID
-edge Children -- PhoneDir : Children.mid = PhoneDir.ID
-corr Children.ID -> ID
-corr Children.name -> name
-corr Parents.affiliation -> affiliation
-corr PhoneDir.number -> contactPh
+MAP Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
+FROM Children, Parents, PhoneDir
+JOIN Children, Parents ON Children.mid = Parents.ID
+JOIN Parents, PhoneDir ON PhoneDir.ID = Parents.ID
+JOIN Children, PhoneDir ON Children.mid = PhoneDir.ID
+SELECT Children.ID AS ID, Children.name AS name, Parents.affiliation AS affiliation, PhoneDir.number AS contactPh
 EOF
 sed '/^quit$/d' examples/scripts/demo.clio > "$tmp_telemetry_script"
 {
@@ -472,79 +474,73 @@ if [ "${pager_load_errors:-1}" -ne 0 ]; then
 fi
 echo "    paged demo + 4 concurrent paged sessions byte-identical; pager.misses = $pager_misses, pager.evictions = $pager_evictions, pager.load_errors = $pager_load_errors"
 
-# Tier 2i: planner / MAP-language gate (PR 10, docs/planner.md). The
-# same cyclic mapping (three-node cycle plus a pushable source filter)
-# is loaded two ways — script format via `load`, MAP language via
-# `map load` — and evaluated by the plan executor, the only evaluation
-# pipeline. The two runs' stdout (prompt-echo lines stripped, since the
-# load commands differ textually) must be byte-identical: the language
-# is a faithful surface for the script format. The script-format run
-# must also print the same bytes with the cache off (`--no-cache`) and
-# with two worker threads (`--threads 2`): caching and scheduling are
-# answer-invisible. The one exemption is the warmth annotation closing
-# each `explain` branch line (`[warm]` with the cache on, `[est N]`
-# without), which reports cache state by design and is masked for the
-# `--no-cache` diff only. Each script also runs `map show` (the
-# canonical MAP printer — identical text regardless of how the mapping
-# was loaded) and `explain` (must render a plan tree). A metrics replay
-# of a default run then pins that the rewrite really fired:
+# Tier 2i: planner / MAP-language gate (docs/planner.md). One cyclic
+# mapping (three-node cycle plus a pushable source filter), checked in
+# as examples/scripts/kids_cycle.map, is loaded through both loading
+# commands — `load F` and `map load F` — and evaluated by the plan
+# executor, the only evaluation pipeline. A Rust test
+# (`verify_gate_map_file_is_the_hand_built_cycle` in crates/lang) pins
+# that the file parses to the same mapping built by hand with
+# QueryGraph/ValueCorrespondence, so every leg below evaluates exactly
+# that mapping. The legs' stdout (prompt-echo lines stripped, since the
+# commands differ textually) must be byte-identical:
+#   * `load F` vs `map load F`: the two commands are one handler;
+#   * a mapping written by `save G` in one process and reloaded with
+#     `load G` in a fresh one: MAP round-trips through the file, so its
+#     `map show`, target, and plan all equal the first run's;
+#   * `--threads 2`: scheduling is answer-invisible;
+#   * `--no-cache`: caching is answer-invisible. The one exemption is
+#     the warmth annotation closing each `explain` branch line
+#     (`[warm]` with the cache on, `[est N]` without), which reports
+#     cache state by design and is masked for this diff only.
+# Each script also runs `map show` and `explain` (must render a plan
+# tree). A metrics replay then pins that the rewrite really fired:
 # plan.pushed_filters > 0 (the filter was pushed below the union) and
 # plan.evals > 0 (evaluation ran through the plan executor). The
 # executor's agreement with the definitional oracles is checked by the
 # `executor_matches_reference_oracles` proptest. Regenerate nothing —
 # this gate has no golden file; equality is between live runs.
-echo "==> planner gate (load vs map load, --no-cache, --threads 2, pushdown counters)"
-tmp_lang_legacy="$(mktemp)"
-tmp_lang_map="$(mktemp)"
+echo "==> planner gate (load vs map load vs save+load, --no-cache, --threads 2, pushdown counters)"
+lang_map=examples/scripts/kids_cycle.map
+tmp_lang_saved="$(mktemp)"
 tmp_lang_script_a="$(mktemp)"
 tmp_lang_script_b="$(mktemp)"
+tmp_lang_script_s="$(mktemp)"
+tmp_lang_script_r="$(mktemp)"
 tmp_lang_out_a="$(mktemp)"
 tmp_lang_out_b="$(mktemp)"
+tmp_lang_out_r="$(mktemp)"
 tmp_lang_out_nc="$(mktemp)"
 tmp_lang_out_t2="$(mktemp)"
 tmp_plan_metrics="$(mktemp)"
-cat > "$tmp_lang_legacy" <<'EOF'
-target Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
-node Children
-node Parents
-node PhoneDir
-edge Children -- Parents : Children.mid = Parents.ID
-edge Parents -- PhoneDir : PhoneDir.ID = Parents.ID
-edge Children -- PhoneDir : Children.mid = PhoneDir.ID
-corr Children.ID -> ID
-corr Children.name -> name
-corr Parents.affiliation -> affiliation
-corr PhoneDir.number -> contactPh
-where source Children.age < 7
-EOF
-cat > "$tmp_lang_map" <<'EOF'
-MAP Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
-FROM Children, Parents, PhoneDir
-JOIN Children, Parents ON Children.mid = Parents.ID
-JOIN Parents, PhoneDir ON PhoneDir.ID = Parents.ID
-JOIN Children, PhoneDir ON Children.mid = PhoneDir.ID
-WHERE SOURCE Children.age < 7
-SELECT Children.ID AS ID, Children.name AS name, Parents.affiliation AS affiliation, PhoneDir.number AS contactPh
-EOF
-{ echo "load $tmp_lang_legacy"; echo target; echo "map show"; echo explain; echo quit; } > "$tmp_lang_script_a"
-{ echo "map load $tmp_lang_map"; echo target; echo "map show"; echo explain; echo quit; } > "$tmp_lang_script_b"
+lang_checks() { echo target; echo "map show"; echo explain; echo quit; }
+{ echo "load $lang_map"; lang_checks; } > "$tmp_lang_script_a"
+{ echo "map load $lang_map"; lang_checks; } > "$tmp_lang_script_b"
+{ echo "map load $lang_map"; echo "save $tmp_lang_saved"; echo quit; } > "$tmp_lang_script_s"
+{ echo "load $tmp_lang_saved"; lang_checks; } > "$tmp_lang_script_r"
 run_and_strip() { # $3... flags; stdout has prompt-echo lines removed
     script="$1"; out="$2"; shift 2
     target/release/clio-shell --script "$script" "$@" > "$out"
     sed -i '/^clio> /d' "$out"
 }
+target/release/clio-shell --script "$tmp_lang_script_s" --threads 1 >/dev/null
 run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_a" --threads 1
 run_and_strip "$tmp_lang_script_b" "$tmp_lang_out_b" --threads 1
+run_and_strip "$tmp_lang_script_r" "$tmp_lang_out_r" --threads 1
 run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_nc" --threads 1 --no-cache
 run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_t2" --threads 2
-for pair in "$tmp_lang_out_b:map-load" "$tmp_lang_out_t2:two-thread"; do
+for pair in "$tmp_lang_out_b:map-load" "$tmp_lang_out_r:save+load" "$tmp_lang_out_t2:two-thread"; do
     other="${pair%%:*}"
     label="${pair##*:}"
     if ! diff -u "$tmp_lang_out_a" "$other"; then
-        echo "verify: FAILED — $label run diverged from the script-format run" >&2
+        echo "verify: FAILED — $label run diverged from the \`load\` run" >&2
         exit 1
     fi
 done
+if ! grep -q '^MAP Kids ' "$tmp_lang_out_a"; then
+    echo "verify: FAILED — map show printed no MAP statement" >&2
+    exit 1
+fi
 # mask the trailing `[...]` warmth annotation of explain branch lines
 # (`F({C,P}) [warm]`) in both runs, in place; every other byte compares
 sed -i 's/^\([^A-Za-z]*F({[^}]*}) \)\[[^]]*\]$/\1[-]/' "$tmp_lang_out_a" "$tmp_lang_out_nc"
@@ -560,8 +556,9 @@ target/release/clio-shell --script "$tmp_lang_script_b" --threads 1 \
     --metrics "$tmp_plan_metrics" >/dev/null
 plan_pushed="$(counter "$tmp_plan_metrics" 'plan\.pushed_filters' | head -n 1)"
 plan_evals="$(counter "$tmp_plan_metrics" 'plan\.evals' | head -n 1)"
-rm -f "$tmp_lang_legacy" "$tmp_lang_map" "$tmp_lang_script_a" "$tmp_lang_script_b" \
-    "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_lang_out_nc" "$tmp_lang_out_t2" "$tmp_plan_metrics"
+rm -f "$tmp_lang_saved" "$tmp_lang_script_a" "$tmp_lang_script_b" "$tmp_lang_script_s" \
+    "$tmp_lang_script_r" "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_lang_out_r" \
+    "$tmp_lang_out_nc" "$tmp_lang_out_t2" "$tmp_plan_metrics"
 if [ "${plan_pushed:-0}" -eq 0 ]; then
     echo "verify: FAILED — default run pushed no filters (plan.pushed_filters = ${plan_pushed:-none})" >&2
     exit 1
@@ -570,6 +567,6 @@ if [ "${plan_evals:-0}" -eq 0 ]; then
     echo "verify: FAILED — default run recorded no plan evaluations (plan.evals = ${plan_evals:-none})" >&2
     exit 1
 fi
-echo "    load == map load == --threads 2 == --no-cache (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
+echo "    load == map load == save+load == --threads 2 == --no-cache (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
 
 echo "verify: OK"

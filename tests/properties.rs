@@ -331,18 +331,6 @@ proptest! {
         }
     }
 
-    /// Mapping scripts round-trip for arbitrary synthetic mappings.
-    #[test]
-    fn mapping_script_round_trip(
-        spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::Cycle, Topology::RandomTree])
-    ) {
-        let w = generate(&spec);
-        let text = clio::core::script::write_mapping(&w.mapping);
-        let parsed = clio::core::script::parse_mapping(&text)
-            .unwrap_or_else(|e| panic!("failed to parse generated script: {e}\n{text}"));
-        prop_assert_eq!(parsed, w.mapping);
-    }
-
     /// Merged target-mapping evaluation never contains a subsumed pair and
     /// never loses a maximal tuple relative to the union.
     #[test]
@@ -1131,11 +1119,10 @@ proptest! {
         let reparsed = clio_lang::parse_map(&printed)
             .unwrap_or_else(|e| panic!("failed to reparse printed mapping: {e}\n{printed}"));
         prop_assert_eq!(reparsed, m.clone());
-        // the line-oriented script format quotes the same way
-        let script = clio::core::script::write_mapping(&m);
-        let reparsed = clio::core::script::parse_mapping(&script)
-            .unwrap_or_else(|e| panic!("failed to reparse written script: {e}\n{script}"));
-        prop_assert_eq!(reparsed, m);
+        // the target-schema declaration round-trips on its own too
+        // (the `--target` flag and `_target.txt` use it)
+        let schema = clio_lang::print_target_schema(&m.target);
+        prop_assert_eq!(clio_lang::parse_target_schema(&schema).unwrap(), m.target);
     }
 }
 
