@@ -14,7 +14,7 @@ use std::hint::black_box;
 use clio_bench::{chain, cycle};
 use clio_core::incremental::full_disjunction_cached;
 use clio_core::session::Session;
-use clio_incr::{EvalCache, EvictionPolicy};
+use clio_incr::EvalCache;
 use clio_relational::funcs::FuncRegistry;
 
 fn bench_mapping_eval_cold_vs_warm(c: &mut Criterion) {
@@ -117,30 +117,26 @@ fn bench_cycle_partial_reuse(c: &mut Criterion) {
 
 fn bench_eviction_policy_under_pressure(c: &mut Criterion) {
     // post-edit replay on the cyclic workload at half the working-set
-    // byte budget: the eviction policy decides which F(J) tables survive
+    // byte budget: cost-aware eviction decides which F(J) tables survive
     // each round, so the replay pays recompute for exactly the entries
-    // its policy chose to sacrifice
+    // it chose to sacrifice
     let mut group = c.benchmark_group("incremental_eviction_policy");
     let funcs = FuncRegistry::with_builtins();
     let w = cycle(4, 100);
     let probe = EvalCache::new();
     full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&probe)).expect("valid");
-    let budget = (probe.stats().bytes / 2).max(1);
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::CostAware] {
-        let cache = EvalCache::with_capacity(budget);
-        cache.set_policy(policy);
-        full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache)).expect("valid");
-        group.bench_function(policy.name(), |b| {
-            b.iter(|| {
-                cache.bump_version("R0");
-                black_box(
-                    full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache))
-                        .expect("valid")
-                        .len(),
-                )
-            });
+    let cache = EvalCache::with_capacity((probe.stats().bytes / 2).max(1));
+    full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache)).expect("valid");
+    group.bench_function("cost", |b| {
+        b.iter(|| {
+            cache.bump_version("R0");
+            black_box(
+                full_disjunction_cached(&w.db, &w.graph, &funcs, Some(&cache))
+                    .expect("valid")
+                    .len(),
+            )
         });
-    }
+    });
     group.finish();
 }
 

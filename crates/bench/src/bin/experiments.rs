@@ -674,19 +674,19 @@ fn b10_eviction_pressure() {
 }
 
 fn b14_policy_budget_sweep() {
-    println!("\n## B14 — eviction policy under budget pressure: LRU vs cost-aware\n");
+    println!("\n## B14 — cost-aware eviction under budget pressure (steady state)\n");
     println!(
-        "| workload | budget | policy | post-edit replay | hits | misses | hit rate \
+        "| workload | budget | post-edit replay | hits | misses | hit rate \
          | evictions |"
     );
-    println!("|---|---|---|---|---|---|---|---|");
-    // The B10b sweep, run once per eviction policy. Rounds are steady-
-    // state: after the cold fill, un-counted edit-replay rounds let each
-    // policy settle on a resident set (cost-aware learns which F(J)
-    // tables recur through ghost-frequency history, which takes a few
-    // rejection rounds to compound), then several counted rounds report
-    // the aggregate hit/miss/eviction mix — aggregating smooths the
-    // round-to-round churn a tight budget induces — plus a timed replay.
+    println!("|---|---|---|---|---|---|---|");
+    // The B10b sweep in steady state: after the cold fill, un-counted
+    // edit-replay rounds let the cache settle on a resident set (it
+    // learns which F(J) tables recur through ghost-frequency history,
+    // which takes a few rejection rounds to compound), then several
+    // counted rounds report the aggregate hit/miss/eviction mix —
+    // aggregating smooths the round-to-round churn a tight budget
+    // induces — plus a timed replay.
     let funcs = FuncRegistry::with_builtins();
     for (name, w) in [
         ("cycle4 x100", cycle(4, 100)),
@@ -702,36 +702,29 @@ fn b14_policy_budget_sweep() {
         eval(&probe);
         let working = probe.stats().bytes.max(1);
         for pct in [100usize, 50, 25, 10] {
-            for policy in [
-                clio_incr::EvictionPolicy::Lru,
-                clio_incr::EvictionPolicy::CostAware,
-            ] {
-                let cache = EvalCache::with_capacity((working * pct / 100).max(1));
-                cache.set_policy(policy);
-                eval(&cache); // cold fill under the budget
-                for _ in 0..8 {
-                    cache.bump_version("R0");
-                    eval(&cache);
-                }
-                let post_edit = time(|| {
-                    cache.bump_version("R0");
-                    std::hint::black_box(eval(&cache));
-                });
-                let before = cache.stats();
-                for _ in 0..4 {
-                    cache.bump_version("R0");
-                    eval(&cache);
-                }
-                let s = cache.stats();
-                let (hits, misses) = (s.hits - before.hits, s.misses - before.misses);
-                println!(
-                    "| {name} | {pct}% | {} | {} | {hits} | {misses} | {:.0}% | {} |",
-                    policy.name(),
-                    fmt(post_edit),
-                    100.0 * hits as f64 / (hits + misses).max(1) as f64,
-                    s.evictions - before.evictions,
-                );
+            let cache = EvalCache::with_capacity((working * pct / 100).max(1));
+            eval(&cache); // cold fill under the budget
+            for _ in 0..8 {
+                cache.bump_version("R0");
+                eval(&cache);
             }
+            let post_edit = time(|| {
+                cache.bump_version("R0");
+                std::hint::black_box(eval(&cache));
+            });
+            let before = cache.stats();
+            for _ in 0..4 {
+                cache.bump_version("R0");
+                eval(&cache);
+            }
+            let s = cache.stats();
+            let (hits, misses) = (s.hits - before.hits, s.misses - before.misses);
+            println!(
+                "| {name} | {pct}% | {} | {hits} | {misses} | {:.0}% | {} |",
+                fmt(post_edit),
+                100.0 * hits as f64 / (hits + misses).max(1) as f64,
+                s.evictions - before.evictions,
+            );
         }
     }
 }

@@ -130,18 +130,6 @@ pub static CACHE_SUBCOMMANDS: &[SubcommandSpec<CacheAction>] = &[
             Ok(CacheAction::Limit(bytes))
         },
     },
-    SubcommandSpec {
-        usage: "cache policy [lru|cost]",
-        description: &["show or switch the eviction policy"],
-        parse: |arg| {
-            if arg.is_empty() {
-                return Ok(CacheAction::Policy(None));
-            }
-            let policy = clio_incr::EvictionPolicy::parse(arg)
-                .ok_or_else(|| ParseError(format!("expected a policy (lru|cost), got `{arg}`")))?;
-            Ok(CacheAction::Policy(Some(policy)))
-        },
-    },
 ];
 
 /// The `db` family.
@@ -420,9 +408,6 @@ pub enum CacheAction {
     Clear,
     /// `cache limit <bytes>` — set the eviction byte budget at runtime.
     Limit(usize),
-    /// `cache policy [lru|cost]` — show (`None`) or switch (`Some`)
-    /// the eviction policy at runtime.
-    Policy(Option<clio_incr::EvictionPolicy>),
 }
 
 /// The `db` subcommands.
@@ -670,6 +655,13 @@ fn parse_id(s: &str) -> Result<usize, ParseError> {
         .map_err(|_| ParseError(format!("expected a workspace id, got `{s}`")))
 }
 
+/// Read a target attribute: one identifier, plain or double-quoted
+/// (`"ID col"`, `""` escaping a quote), by the expression lexer's rules.
+fn parse_attr(s: &str) -> Result<String, ParseError> {
+    clio_relational::parser::parse_ident(s)
+        .map_err(|e| ParseError(format!("bad attribute `{}`: {e}", s.trim())))
+}
+
 /// Parse one input line into a [`Command`].
 ///
 /// Whitespace is trimmed; blank lines and `#` comments parse to
@@ -695,7 +687,7 @@ pub fn parse(line: &str) -> Result<Command, ParseError> {
                 .ok_or_else(|| ParseError("usage: corr <expr> -> <attr>".into()))?;
             Ok(Command::Corr {
                 expr: rest[..idx].trim().to_owned(),
-                attr: rest[idx + 4..].trim().to_owned(),
+                attr: parse_attr(&rest[idx + 4..])?,
             })
         }
         "walk" => {
@@ -766,8 +758,9 @@ pub fn parse(line: &str) -> Result<Command, ParseError> {
                 predicate: pred.trim().to_owned(),
             })
         }
+        "require" if rest.is_empty() => err("usage: require <attr>"),
         "require" => Ok(Command::Require {
-            attr: rest.to_owned(),
+            attr: parse_attr(rest)?,
         }),
         "status" => Ok(Command::Status),
         "stats" => Ok(Command::Stats(if rest == "reset" {
@@ -857,6 +850,25 @@ mod tests {
                 attr: "ID".into()
             }
         );
+        // target attributes are identifiers: quoted ones unquote
+        assert_eq!(
+            parse(r#"corr a || ' -> ' -> "ID ""x"" col""#).unwrap(),
+            Command::Corr {
+                expr: "a || ' -> '".into(),
+                attr: r#"ID "x" col"#.into()
+            }
+        );
+        assert_eq!(
+            parse(r#"require "ID col""#).unwrap(),
+            Command::Require {
+                attr: "ID col".into()
+            }
+        );
+        assert_eq!(parse("require").unwrap_err().0, "usage: require <attr>");
+        assert!(parse("require ID col")
+            .unwrap_err()
+            .0
+            .starts_with("bad attribute `ID col`: "));
         assert_eq!(
             parse("walk Parents SBPS").unwrap(),
             Command::Walk {
@@ -933,24 +945,6 @@ mod tests {
         assert_eq!(
             parse("cache limit lots").unwrap_err().0,
             "expected a byte budget, got `lots`"
-        );
-        assert_eq!(
-            parse("cache policy").unwrap(),
-            Command::Cache(CacheAction::Policy(None))
-        );
-        assert_eq!(
-            parse("cache policy lru").unwrap(),
-            Command::Cache(CacheAction::Policy(Some(clio_incr::EvictionPolicy::Lru)))
-        );
-        assert_eq!(
-            parse("cache policy cost").unwrap(),
-            Command::Cache(CacheAction::Policy(Some(
-                clio_incr::EvictionPolicy::CostAware
-            )))
-        );
-        assert_eq!(
-            parse("cache policy mru").unwrap_err().0,
-            "expected a policy (lru|cost), got `mru`"
         );
         assert!(parse("cache frobnicate")
             .unwrap_err()
@@ -1161,7 +1155,6 @@ mod tests {
         // every described entry puts its description at column 30
         assert!(help.contains("  source                      show the source schema"));
         assert!(help.contains("  cache limit <bytes>         set the cache's eviction byte budget"));
-        assert!(help.contains("  cache policy [lru|cost]     show or switch the eviction policy"));
         assert!(help.contains("  db save <dir>               write the source database as a paged"));
         assert!(
             help.contains("  map load <file>             load a MAP-language statement as a new")

@@ -122,10 +122,6 @@ pub struct CliConfig {
     /// `--cache-dir <path>`: attach an on-disk cache store rooted at
     /// this directory (see `docs/incremental.md`, Persistence).
     pub cache_dir: Option<String>,
-    /// `--cache-policy <lru|cost>`: how the cache evicts under
-    /// byte-budget pressure (cost-aware by default; see
-    /// `docs/incremental.md`, Eviction policy & cost model).
-    pub cache_policy: Option<clio_incr::EvictionPolicy>,
 }
 
 /// One cross-flag conflict: a predicate over a fully parsed
@@ -304,8 +300,8 @@ impl CliConfig {
     }
 
     /// The [`SessionPool`] every front-end of this configuration takes
-    /// its sessions from: the `--sessions` width, the cache switch and
-    /// `--cache-policy`, and the shared persistent store. The store is
+    /// its sessions from: the `--sessions` width, the cache switch, and
+    /// the shared persistent store. The store is
     /// a [`DiskStore`] under `--cache-dir`, namespaced by a digest of
     /// the source so one directory serves many databases; without the
     /// flag, `serve` still shares one in-memory [`MemStore`] so one
@@ -325,9 +321,6 @@ impl CliConfig {
             pool = pool.with_store(store);
         }
         pool.set_cache_enabled(!self.no_cache);
-        if let Some(policy) = self.cache_policy {
-            pool.set_cache_policy(policy);
-        }
         pool
     }
 
@@ -384,15 +377,6 @@ impl CliConfig {
                 "--slow-ms" => cfg.slow_ms = Some(number(flag, &value()?, 1, POSITIVE_MS)?),
                 "--idle-ms" => cfg.idle_ms = Some(number(flag, &value()?, 1, POSITIVE_MS)?),
                 "--port" => cfg.port = Some(number(flag, &value()?, 0, PORT)?),
-                "--cache-policy" => {
-                    let value = value()?;
-                    let policy = clio_incr::EvictionPolicy::parse(&value).ok_or_else(|| {
-                        UsageError(format!(
-                            "--cache-policy expects `lru` or `cost`, got `{value}`"
-                        ))
-                    })?;
-                    cfg.cache_policy = Some(policy);
-                }
                 "--synthetic" => cfg.synthetic = Some(parse_synthetic(&value()?)?),
                 other if other.starts_with('-') => {
                     return Err(UsageError(format!("unknown flag `{other}` (see --help)")));
@@ -454,8 +438,6 @@ mod tests {
             "m.json",
             "--cache-dir",
             "/tmp/cc",
-            "--cache-policy",
-            "lru",
             "--threads",
             "3",
             "--sessions",
@@ -478,7 +460,6 @@ mod tests {
         assert_eq!(cfg.db_pool, Some(8));
         assert_eq!(cfg.metrics_path.as_deref(), Some("m.json"));
         assert_eq!(cfg.cache_dir.as_deref(), Some("/tmp/cc"));
-        assert_eq!(cfg.cache_policy, Some(clio_incr::EvictionPolicy::Lru));
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.sessions_width, Some(2));
         assert_eq!(cfg.trace_filter.as_deref(), Some("fd.naive"));
@@ -511,14 +492,6 @@ mod tests {
         assert_eq!(
             err(&["--cache-dir"]),
             "--cache-dir requires a value (see --help)"
-        );
-        assert_eq!(
-            err(&["--cache-policy"]),
-            "--cache-policy requires a value (see --help)"
-        );
-        assert_eq!(
-            err(&["--cache-policy", "mru"]),
-            "--cache-policy expects `lru` or `cost`, got `mru`"
         );
         assert_eq!(
             err(&["--threads", "0"]),
@@ -746,21 +719,12 @@ mod tests {
     #[test]
     fn the_session_pool_carries_the_cache_flags() {
         use clio_datagen::paper::{kids_target, paper_database};
-        let cfg = CliConfig::parse(&argv(&[
-            "--no-cache",
-            "--cache-policy",
-            "lru",
-            "--sessions",
-            "3",
-            "a.clio",
-        ]))
-        .unwrap();
+        let cfg = CliConfig::parse(&argv(&["--no-cache", "--sessions", "3", "a.clio"])).unwrap();
         let pool = cfg.session_pool(paper_database(), kids_target());
         assert_eq!(pool.width(), 3);
         assert!(pool.store().is_none());
         let session = pool.session();
         assert!(!session.cache().enabled());
-        assert_eq!(session.cache().policy(), clio_incr::EvictionPolicy::Lru);
         // serve shares one store between connections even without --cache-dir
         let cfg = CliConfig::parse(&argv(&["serve"])).unwrap();
         let pool = cfg.session_pool(paper_database(), kids_target());

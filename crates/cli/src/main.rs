@@ -201,9 +201,6 @@ flags:
   --cache-dir <path>     persist eligible cache entries under <path> and
                          serve misses from it across runs (see
                          docs/incremental.md, Persistence)
-  --cache-policy <p>     eviction policy under capacity pressure: `cost`
-                         (recompute-cost-weighted, the default) or `lru`
-                         (see docs/incremental.md, Eviction policy)
   --port <n>             serve: TCP port to listen on (default 0 = an
                          ephemeral port, announced as `listening on
                          <addr>`; fallback: CLIO_PORT)

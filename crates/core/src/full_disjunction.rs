@@ -153,10 +153,10 @@ pub fn full_disjunction_outer_join(
 }
 
 /// The subsumption algorithm the engine uses wherever a caller does not
-/// choose one explicitly — the single place the default is decided.
+/// choose one explicitly: partitioned (naive is the test oracle).
 #[must_use]
 pub fn engine_subsumption() -> SubsumptionAlgo {
-    SubsumptionAlgo::default() // Adaptive
+    SubsumptionAlgo::Partitioned
 }
 
 /// Compute `D(G)` the way the engine does: through the plan executor
@@ -364,10 +364,10 @@ mod tests {
         g.add_edge(0, 2, parse_expr("Children.mid = PhoneDir.ID").unwrap())
             .unwrap();
         let serial = clio_relational::exec::with_threads(1, || {
-            full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&db(), &g, &funcs(), engine_subsumption()).unwrap()
         });
         let parallel = clio_relational::exec::with_threads(4, || {
-            full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&db(), &g, &funcs(), engine_subsumption()).unwrap()
         });
         assert_eq!(serial.table().rows(), parallel.table().rows());
         assert_eq!(serial.table().scheme(), parallel.table().scheme());
@@ -381,7 +381,7 @@ mod tests {
             .unwrap();
         clio_obs::set_trace_enabled(true);
         clio_relational::exec::with_threads(4, || {
-            full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&db(), &g, &funcs(), engine_subsumption()).unwrap()
         });
         clio_obs::set_trace_enabled(false);
         let spans = clio_obs::take_spans();

@@ -209,13 +209,6 @@ impl Session {
         Ok(plan.explain())
     }
 
-    /// Choose how the cache evicts under byte-budget pressure (the
-    /// CLI's `--cache-policy`; cost-aware by default). Answer-invisible:
-    /// the policy only decides what stays resident.
-    pub fn set_cache_policy(&mut self, policy: clio_incr::EvictionPolicy) {
-        self.cache.set_policy(policy);
-    }
-
     /// Attach a persistent second-tier cache backend (e.g. a
     /// [`clio_incr::DiskStore`] over the CLI's `--cache-dir`): eligible
     /// cache insertions spill to it, and lookups that miss in memory
@@ -459,8 +452,7 @@ impl Session {
                 // one missing relation: walk to it from every graph node,
                 // creating one workspace per alternative (Figure 3 flow)
                 let rel = rel.clone();
-                let ids = self.walk_internal(&active, &rel, Some(v))?;
-                Ok(ids)
+                self.walk_internal(&active, None, &rel, Some(v))
             }
             more => Err(Error::Invalid(format!(
                 "correspondence references {} relations missing from the graph ({}); \
@@ -485,68 +477,36 @@ impl Session {
             .active()
             .ok_or_else(|| Error::Invalid("no active workspace".into()))?
             .clone();
-        let mut patched = active.clone();
-        if let Some(s) = start_alias {
-            // restrict walks to those starting at the given node by
-            // filtering afterwards; data_walk already takes a start
-            let alternatives = data_walk(
-                &patched.mapping,
-                &self.db,
-                &self.knowledge,
-                s,
-                end_relation,
-                self.walk_max_steps,
-                &self.funcs,
-            )?;
-            return self.install_walk_alternatives(&active, alternatives, None);
-        }
-        // walk from every node, merging alternatives
-        let mut all = Vec::new();
-        let aliases: Vec<String> = patched
-            .mapping
-            .graph
-            .nodes()
-            .iter()
-            .map(|n| n.alias.clone())
-            .collect();
-        for alias in aliases {
-            let mut alts = data_walk(
-                &patched.mapping,
-                &self.db,
-                &self.knowledge,
-                &alias,
-                end_relation,
-                self.walk_max_steps,
-                &self.funcs,
-            )?;
-            all.append(&mut alts);
-        }
-        all.sort_by_key(|a| (a.path_len, a.new_nodes.len()));
-        all.dedup_by(|a, b| a.mapping.graph == b.mapping.graph);
-        patched.mapping = active.mapping.clone();
-        self.install_walk_alternatives(&active, all, None)
+        self.walk_internal(&active, start_alias, end_relation, None)
     }
 
+    /// Walk from `start_alias` (or from every node of `active`'s graph
+    /// when `None`) to `end_relation`, merging the alternatives of all
+    /// starts — ranked, one per distinct graph — into new workspaces.
     fn walk_internal(
         &mut self,
         active: &Workspace,
+        start_alias: Option<&str>,
         end_relation: &str,
         correspondence: Option<ValueCorrespondence>,
     ) -> Result<Vec<usize>> {
+        let aliases: Vec<String> = match start_alias {
+            Some(alias) => vec![alias.to_owned()],
+            None => active
+                .mapping
+                .graph
+                .nodes()
+                .iter()
+                .map(|n| n.alias.clone())
+                .collect(),
+        };
         let mut all = Vec::new();
-        let aliases: Vec<String> = active
-            .mapping
-            .graph
-            .nodes()
-            .iter()
-            .map(|n| n.alias.clone())
-            .collect();
-        for alias in aliases {
+        for alias in &aliases {
             let mut alts = data_walk(
                 &active.mapping,
                 &self.db,
                 &self.knowledge,
-                &alias,
+                alias,
                 end_relation,
                 self.walk_max_steps,
                 &self.funcs,

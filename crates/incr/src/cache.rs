@@ -11,19 +11,25 @@
 //! * **The epoch** — a cache-wide version covering ambient evaluation
 //!   state that is not per-relation (the function registry). Bumping it
 //!   clears everything.
-//! * **A byte budget with a pluggable eviction policy** — entries are
-//!   charged an estimated byte size; inserting past the capacity evicts
-//!   entries chosen by the active [`EvictionPolicy`]: plain
-//!   least-recently-used, or (the default) a GreedyDual-style
-//!   cost-aware priority that keeps expensive-to-recompute tables
-//!   resident (see `docs/incremental.md`).
+//! * **A byte budget with cost-aware eviction** — entries are charged
+//!   an estimated byte size; inserting past the capacity evicts the
+//!   entries with the lowest GreedyDual priority
+//!   `H = clock + freq · cost_ns · SCALE / bytes`, which keeps
+//!   expensive-to-recompute tables resident. The priority is recomputed
+//!   on every hit (which also bumps `freq`); the victim is the minimum
+//!   `H` (ties broken least-recently-used), and the clock inflates to
+//!   the victim's priority so long-resident entries age out instead of
+//!   squatting forever. Entries with no recorded cost degenerate to
+//!   exact LRU order. Eviction is answer-invisible: it only decides what
+//!   stays resident, never what a lookup returns (see
+//!   `docs/incremental.md`).
 //!
 //! Lookups and insertions mirror into the global `cache.*` counters of
 //! [`clio_obs`] (when metrics are enabled) and into per-cache
 //! [`CacheStats`] (always, for the `cache` shell command).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use clio_obs::metrics::{self, Counter};
@@ -36,64 +42,6 @@ use crate::store::{CacheStore, StoredEntry};
 /// Default cache capacity: 64 MiB of estimated table bytes.
 pub const DEFAULT_CAPACITY_BYTES: usize = 64 << 20;
 
-/// How victims are chosen when resident bytes exceed the budget.
-///
-/// Both policies are *answer-invisible*: they only decide what stays
-/// resident, never what a lookup returns (pinned by the Lru-vs-CostAware
-/// byte-identity proptest in `tests/properties.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-used entry first, ignoring costs.
-    Lru,
-    /// GreedyDual-style cost-aware eviction (the default). Each entry
-    /// carries a priority
-    /// `H = clock + freq · cost_ns · SCALE / bytes`, recomputed on
-    /// every hit (which also bumps `freq`). The victim is the minimum
-    /// `H` (ties broken least-recently-used), and the clock inflates to
-    /// the victim's priority so long-resident entries age out instead
-    /// of squatting forever. Entries with no recorded cost degenerate
-    /// to exact LRU order.
-    #[default]
-    CostAware,
-}
-
-impl EvictionPolicy {
-    /// Parse a CLI/shell policy name (`lru` | `cost`).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<EvictionPolicy> {
-        match name {
-            "lru" => Some(EvictionPolicy::Lru),
-            "cost" => Some(EvictionPolicy::CostAware),
-            _ => None,
-        }
-    }
-
-    /// The CLI/shell name (`lru` | `cost`), inverse of
-    /// [`EvictionPolicy::parse`].
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionPolicy::Lru => "lru",
-            EvictionPolicy::CostAware => "cost",
-        }
-    }
-
-    fn from_u8(v: u8) -> EvictionPolicy {
-        if v == 0 {
-            EvictionPolicy::Lru
-        } else {
-            EvictionPolicy::CostAware
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            EvictionPolicy::Lru => 0,
-            EvictionPolicy::CostAware => 1,
-        }
-    }
-}
-
 /// Fixed-point scale for the cost/size ratio in the GreedyDual
 /// priority, so small ratios (cheap-but-large tables) still order
 /// against each other instead of all truncating to zero.
@@ -101,8 +49,7 @@ const PRIORITY_SCALE: u64 = 1 << 10;
 
 /// The GreedyDual priority `clock + freq · cost_ns · SCALE / bytes`
 /// (saturating). Zero-cost entries collapse to `clock`, which makes
-/// the cost-aware policy degrade to exact LRU via the recency
-/// tie-break.
+/// eviction degrade to exact LRU via the recency tie-break.
 fn gd_priority(clock: u64, cost_ns: u64, bytes: usize, freq: u64) -> u64 {
     let value = cost_ns.saturating_mul(freq).saturating_mul(PRIORITY_SCALE) / (bytes.max(1) as u64);
     clock.saturating_add(value)
@@ -137,8 +84,6 @@ pub struct CacheStats {
     pub invalidations: u64,
     /// Entries dropped to stay under the byte budget.
     pub evictions: u64,
-    /// The subset of `evictions` chosen by the cost-aware policy.
-    pub cost_evictions: u64,
     /// Recompute nanoseconds avoided by hits (sum of the answering
     /// entries' recorded costs, memory and disk tiers alike).
     pub saved_ns: u64,
@@ -174,8 +119,7 @@ struct Entry {
     /// Reference count: starts at 1 on first admission (or resumes
     /// from ghost history on a re-insert) and bumps on every hit.
     freq: u64,
-    /// GreedyDual priority, recomputed on every hit. Ignored under
-    /// [`EvictionPolicy::Lru`].
+    /// GreedyDual priority, recomputed on every hit.
     priority: u64,
 }
 
@@ -214,7 +158,6 @@ struct Inner {
     misses: u64,
     invalidations: u64,
     evictions: u64,
-    cost_evictions: u64,
     saved_ns: u64,
     /// Optional second tier behind the memory tier. Shared (`Arc`) so a
     /// cloned session keeps spilling to — and loading from — the same
@@ -229,7 +172,6 @@ struct Inner {
 pub struct EvalCache {
     enabled: AtomicBool,
     capacity: AtomicUsize,
-    policy: AtomicU8,
     inner: Mutex<Inner>,
 }
 
@@ -257,22 +199,8 @@ impl EvalCache {
         EvalCache {
             enabled: AtomicBool::new(true),
             capacity: AtomicUsize::new(capacity_bytes),
-            policy: AtomicU8::new(EvictionPolicy::default().as_u8()),
             inner: Mutex::new(Inner::default()),
         }
-    }
-
-    /// The active eviction policy.
-    #[must_use]
-    pub fn policy(&self) -> EvictionPolicy {
-        EvictionPolicy::from_u8(self.policy.load(Ordering::Relaxed))
-    }
-
-    /// Switch the eviction policy at runtime (`cache policy <name>`).
-    /// Resident entries, statistics, and recorded costs are kept; only
-    /// future victim selection changes.
-    pub fn set_policy(&self, policy: EvictionPolicy) {
-        self.policy.store(policy.as_u8(), Ordering::Relaxed);
     }
 
     /// Whether lookups and insertions are active.
@@ -294,11 +222,11 @@ impl EvalCache {
     }
 
     /// Change the byte budget at runtime (`cache limit <bytes>`),
-    /// evicting policy-chosen victims until resident bytes fit.
+    /// evicting lowest-priority victims until resident bytes fit.
     pub fn set_capacity(&self, capacity_bytes: usize) {
         self.capacity.store(capacity_bytes, Ordering::Relaxed);
         let mut inner = self.lock();
-        Self::evict_to(&mut inner, capacity_bytes, self.policy());
+        Self::evict_to(&mut inner, capacity_bytes);
     }
 
     /// Attach (or detach, with `None`) a second-tier backend. Lookups
@@ -317,39 +245,26 @@ impl EvalCache {
     /// Evict until resident bytes fit `capacity`. A zero budget means
     /// *nothing* stays resident — even zero-byte tables, which would
     /// otherwise "fit" — so `set_capacity(0)` is a guaranteed flush.
-    /// Victim selection is deterministic under both policies:
-    /// `last_used` ticks are unique, so the `(priority, last_used)` key
-    /// never ties and `HashMap` iteration order cannot leak into which
-    /// entry dies.
-    fn evict_to(inner: &mut Inner, capacity: usize, policy: EvictionPolicy) {
+    /// Victim selection is deterministic: `last_used` ticks are unique,
+    /// so the `(priority, last_used)` key never ties and `HashMap`
+    /// iteration order cannot leak into which entry dies.
+    fn evict_to(inner: &mut Inner, capacity: usize) {
         while inner.bytes > capacity || (capacity == 0 && !inner.entries.is_empty()) {
-            let victim = match policy {
-                EvictionPolicy::Lru => inner
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(&fp, _)| fp),
-                EvictionPolicy::CostAware => inner
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| (e.priority, e.last_used))
-                    .map(|(&fp, _)| fp),
-            };
+            let victim = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| (e.priority, e.last_used))
+                .map(|(&fp, _)| fp);
             let Some(victim) = victim else { break };
             if let Some(e) = inner.entries.remove(&victim) {
                 inner.bytes -= e.bytes;
                 inner.evictions += 1;
                 metrics::incr(Counter::CacheEvictions);
                 Self::remember_ghost(inner, victim, e.freq);
-                if policy == EvictionPolicy::CostAware {
-                    // Age the cache: everything admitted from now on
-                    // starts at least as "warm" as the entry that just
-                    // lost, which is what lets stale expensive entries
-                    // eventually drain.
-                    inner.clock = inner.clock.max(e.priority);
-                    inner.cost_evictions += 1;
-                    metrics::incr(Counter::CacheCostEvictions);
-                }
+                // Age the cache: everything admitted from now on starts
+                // at least as "warm" as the entry that just lost, which
+                // is what lets stale expensive entries eventually drain.
+                inner.clock = inner.clock.max(e.priority);
             }
         }
     }
@@ -374,7 +289,7 @@ impl EvalCache {
         }
     }
 
-    /// GreedyDual admission control for the cost-aware policy: may an
+    /// GreedyDual admission control: may an
     /// entry of `bytes` at `cost_ns` (resuming at `freq` if its
     /// fingerprint has ghost history) displace the victims it needs?
     /// Walks the hypothetical eviction order without removing anything;
@@ -575,7 +490,7 @@ impl EvalCache {
     /// time, which feeds the cost-aware eviction priority and the
     /// warmth-guided scheduler's estimates. No-op while disabled, when
     /// the entry already exists, or when the table alone exceeds the
-    /// whole budget. Evicts policy-chosen victims to stay under the
+    /// whole budget. Evicts lowest-priority victims to stay under the
     /// budget, and spills a copy (cost included) to the attached store
     /// when the entry is eligible (see [`EvalCache::spill_all`] for the
     /// eligibility rule).
@@ -615,7 +530,6 @@ impl EvalCache {
         if inner.entries.contains_key(&fp) {
             return None;
         }
-        let policy = self.policy();
         // A re-insert of a previously seen fingerprint resumes its
         // accumulated frequency; the insert itself is a reference, so
         // the count also advances on every (re)attempt. This is what
@@ -623,14 +537,12 @@ impl EvalCache {
         // rounds) from one-shot aggregates whose fingerprints die with
         // every dependency bump and therefore always compete at one.
         let freq = inner.ghosts.get(&fp).map_or(1, |g| g.freq + 1);
-        if policy == EvictionPolicy::CostAware
-            && !Self::admission_beats_victims(&mut inner, capacity, bytes, cost_ns, freq)
-        {
+        if !Self::admission_beats_victims(&mut inner, capacity, bytes, cost_ns, freq) {
             Self::remember_ghost(&mut inner, fp, freq);
             return None;
         }
         inner.ghosts.remove(&fp);
-        Self::evict_to(&mut inner, capacity.saturating_sub(bytes), policy);
+        Self::evict_to(&mut inner, capacity.saturating_sub(bytes));
         inner.tick += 1;
         let last_used = inner.tick;
         let priority = gd_priority(inner.clock, cost_ns, bytes, freq);
@@ -741,7 +653,6 @@ impl EvalCache {
             misses: inner.misses,
             invalidations: inner.invalidations,
             evictions: inner.evictions,
-            cost_evictions: inner.cost_evictions,
             saved_ns: inner.saved_ns,
             entries: inner.entries.len(),
             bytes: inner.bytes,
@@ -750,7 +661,7 @@ impl EvalCache {
 
     /// Per-entry residency ledger — `(deps, bytes, cost_ns, freq,
     /// priority)` per resident entry, unordered. Diagnostic surface for
-    /// benchmarks and tests that need to see *why* the policy kept or
+    /// benchmarks and tests that need to see *why* eviction kept or
     /// dropped an entry; not part of the stable API.
     #[doc(hidden)]
     #[must_use]
@@ -787,7 +698,6 @@ impl Clone for EvalCache {
         EvalCache {
             enabled: AtomicBool::new(self.enabled()),
             capacity: AtomicUsize::new(self.capacity()),
-            policy: AtomicU8::new(self.policy().as_u8()),
             inner: Mutex::new(self.lock().clone()),
         }
     }
@@ -799,7 +709,6 @@ impl std::fmt::Debug for EvalCache {
         f.debug_struct("EvalCache")
             .field("enabled", &self.enabled())
             .field("capacity", &self.capacity())
-            .field("policy", &self.policy())
             .field("stats", &stats)
             .finish()
     }
@@ -1072,22 +981,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_preserves_policy() {
-        let cache = EvalCache::new();
-        assert_eq!(cache.policy(), EvictionPolicy::CostAware, "default");
-        cache.set_policy(EvictionPolicy::Lru);
-        assert_eq!(cache.clone().policy(), EvictionPolicy::Lru);
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in [EvictionPolicy::Lru, EvictionPolicy::CostAware] {
-            assert_eq!(EvictionPolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(EvictionPolicy::parse("mru"), None);
-    }
-
-    #[test]
     fn peek_does_not_promote_or_count() {
         let one = table_bytes(&table(1, "x"));
         let cache = EvalCache::with_capacity(2 * one);
@@ -1129,16 +1022,14 @@ mod tests {
     fn cost_aware_eviction_keeps_the_expensive_entry() {
         let one = table_bytes(&table(1, "x"));
         let cache = EvalCache::with_capacity(2 * one);
-        assert_eq!(cache.policy(), EvictionPolicy::CostAware);
         // 1 is expensive and *older*; 2 is free and more recent. LRU
-        // would kill 1; the cost-aware policy kills 2.
+        // would kill 1; cost-aware eviction kills 2.
         cache.insert_costed(fp(1), vec![], &table(1, "a"), 1_000_000);
         cache.insert(fp(2), vec![], &table(1, "b"));
         cache.insert_costed(fp(3), vec![], &table(1, "c"), 500_000);
         assert!(cache.peek(fp(1)), "expensive entry survives");
         assert!(!cache.peek(fp(2)), "cheap entry is the victim");
-        let s = cache.stats();
-        assert_eq!((s.evictions, s.cost_evictions), (1, 1));
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -1153,21 +1044,7 @@ mod tests {
         cache.insert(fp(3), vec![], &table(1, "c"));
         assert!(!cache.peek(fp(2)), "LRU victim");
         assert!(cache.peek(fp(1)));
-        let s = cache.stats();
-        assert_eq!((s.evictions, s.cost_evictions), (1, 1));
-    }
-
-    #[test]
-    fn lru_policy_ignores_costs() {
-        let one = table_bytes(&table(1, "x"));
-        let cache = EvalCache::with_capacity(2 * one);
-        cache.set_policy(EvictionPolicy::Lru);
-        cache.insert_costed(fp(1), vec![], &table(1, "a"), u64::MAX);
-        cache.insert(fp(2), vec![], &table(1, "b"));
-        cache.insert(fp(3), vec![], &table(1, "c"));
-        assert!(!cache.peek(fp(1)), "oldest dies, cost ignored");
-        let s = cache.stats();
-        assert_eq!((s.evictions, s.cost_evictions), (1, 0));
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]

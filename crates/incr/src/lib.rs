@@ -16,8 +16,8 @@
 //! graphs or mappings. `clio-core` computes the fingerprints (see
 //! `clio_core::incremental` and `docs/incremental.md` for the scheme)
 //! and decides what to cache; this crate provides deterministic hashing
-//! ([`FingerprintBuilder`]), storage under a byte budget with a
-//! pluggable [`EvictionPolicy`] (cost-aware by default), pluggable
+//! ([`FingerprintBuilder`]), storage under a byte budget with
+//! cost-aware eviction, pluggable
 //! persistence ([`CacheStore`], with [`DiskStore`] surviving process
 //! restarts — see `docs/incremental.md`, *Persistence*), and
 //! observability (the `cache.*` counters in [`clio_obs`]).
@@ -27,9 +27,7 @@ pub mod disk;
 pub mod fingerprint;
 pub mod store;
 
-pub use cache::{
-    table_bytes, CacheStats, EvalCache, EvictionPolicy, LookupTier, DEFAULT_CAPACITY_BYTES,
-};
+pub use cache::{table_bytes, CacheStats, EvalCache, LookupTier, DEFAULT_CAPACITY_BYTES};
 pub use disk::DiskStore;
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use store::{database_digest, CacheStore, MemStore, StoreStats, StoredEntry};

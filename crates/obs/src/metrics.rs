@@ -36,9 +36,6 @@ pub enum Counter {
     SubsumptionComparisons,
     /// Tuples removed because another tuple subsumed them.
     TuplesSubsumed,
-    /// Adaptive subsumption dispatches (`SubsumptionAlgo::Adaptive`
-    /// calls that picked a concrete algorithm).
-    SubsumptionAdaptiveChoices,
     /// Connected subgraphs enumerated by the naive full disjunction.
     SubgraphsEnumerated,
     /// Binary outer-join steps executed by the outer-join full
@@ -79,12 +76,8 @@ pub enum Counter {
     /// Persistent-backend load failures tolerated by falling back to
     /// recomputation (corrupt files, version mismatches, I/O errors).
     CacheLoadErrors,
-    /// Incremental-cache entries dropped to stay under the byte budget
-    /// (either policy).
+    /// Incremental-cache entries dropped to stay under the byte budget.
     CacheEvictions,
-    /// Evictions chosen by the cost-aware policy (a subset of
-    /// `cache.evictions`).
-    CacheCostEvictions,
     /// Recompute nanoseconds avoided by cache answers: each hit adds
     /// the answering entry's recorded recompute cost. Wall-clock
     /// derived, so normalized away in golden-counter gates.
@@ -137,13 +130,12 @@ pub const COUNTER_COUNT: usize = Counter::ALL.len();
 
 impl Counter {
     /// All counters, in table order.
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 38] = [
         Counter::TuplesScanned,
         Counter::JoinProbes,
         Counter::JoinOutputRows,
         Counter::SubsumptionComparisons,
         Counter::TuplesSubsumed,
-        Counter::SubsumptionAdaptiveChoices,
         Counter::SubgraphsEnumerated,
         Counter::OuterJoinSteps,
         Counter::ChaseAlternativesGenerated,
@@ -161,7 +153,6 @@ impl Counter {
         Counter::CacheDiskBytes,
         Counter::CacheLoadErrors,
         Counter::CacheEvictions,
-        Counter::CacheCostEvictions,
         Counter::CacheSavedNs,
         Counter::NetAccepted,
         Counter::NetActive,
@@ -190,7 +181,6 @@ impl Counter {
             Counter::JoinOutputRows => "join.output_rows",
             Counter::SubsumptionComparisons => "subsumption.comparisons",
             Counter::TuplesSubsumed => "subsumption.removed",
-            Counter::SubsumptionAdaptiveChoices => "subsumption.adaptive_choices",
             Counter::SubgraphsEnumerated => "fd.subgraphs",
             Counter::OuterJoinSteps => "fd.outer_join_steps",
             Counter::ChaseAlternativesGenerated => "chase.alternatives_generated",
@@ -208,7 +198,6 @@ impl Counter {
             Counter::CacheDiskBytes => "cache.disk_bytes",
             Counter::CacheLoadErrors => "cache.load_errors",
             Counter::CacheEvictions => "cache.evictions",
-            Counter::CacheCostEvictions => "cache.cost_evictions",
             Counter::CacheSavedNs => "cache.saved_ns",
             Counter::NetAccepted => "net.accepted",
             Counter::NetActive => "net.active",

@@ -6,25 +6,22 @@
 //! subsumed tuples — they are redundant, repeating information carried by a
 //! more complete tuple (paper Sec 3.2).
 //!
-//! Two base algorithms are provided, plus an adaptive dispatcher:
+//! Two algorithms are provided:
 //!
 //! * [`remove_subsumed_naive`] — the definitional `O(n²)` pairwise check,
 //!   kept as the reference implementation;
-//! * [`remove_subsumed_partitioned`] — partitions tuples by their non-null
-//!   mask; `t1` can only strictly subsume `t2` when
-//!   `mask(t2) ⊊ mask(t1)`, so only mask pairs in strict-subset relation
-//!   are probed, via a hash index on the subsumee-mask projection. The
-//!   per-mask probe passes are independent, so on large tables they run
-//!   on the [`crate::exec`] worker pool (`subsumption.worker` spans);
-//! * [`SubsumptionAlgo::Adaptive`] — the engine default: picks one of the
-//!   two per call from the input size and the observed partition shape,
-//!   recording each decision in the `subsumption.adaptive_choices`
-//!   counter.
+//! * [`remove_subsumed_partitioned`] — the engine's algorithm: partitions
+//!   tuples by their non-null mask; `t1` can only strictly subsume `t2`
+//!   when `mask(t2) ⊊ mask(t1)`, so only mask pairs in strict-subset
+//!   relation are probed, via a hash index on the subsumee-mask
+//!   projection. The per-mask probe passes are independent, so on large
+//!   tables they run on the [`crate::exec`] worker pool
+//!   (`subsumption.worker` spans).
 //!
 //! Benchmark **B2** (`cargo bench -p clio-bench --bench subsumption`)
 //! compares them; a property test asserts they agree.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use clio_obs::metrics::{self, Counter};
 
@@ -34,26 +31,13 @@ use crate::table::Table;
 use crate::value::Value;
 
 /// Algorithm selector for subsumption removal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubsumptionAlgo {
-    /// Definitional `O(n²)` pairwise comparison.
+    /// Definitional `O(n²)` pairwise comparison (the reference).
     Naive,
-    /// Null-mask partitioning + hash probing.
+    /// Null-mask partitioning + hash probing (the engine's algorithm).
     Partitioned,
-    /// Per-call choice between the two from input size and partition
-    /// shape (default; see [`remove_subsumed`] for the heuristic).
-    #[default]
-    Adaptive,
 }
-
-/// Tables at or below this row count always take the naive algorithm
-/// under [`SubsumptionAlgo::Adaptive`] — at ≤ 64² cheap row comparisons
-/// the quadratic scan beats the partitioned pass's hashing constants.
-const ADAPTIVE_NAIVE_MAX_ROWS: usize = 64;
-
-/// How many leading rows [`SubsumptionAlgo::Adaptive`] samples to
-/// estimate the partition shape (distinct null-mask density).
-const ADAPTIVE_SAMPLE_ROWS: usize = 128;
 
 /// Below this row count the partitioned algorithm stays on the calling
 /// thread — fan-out overhead would exceed the probe work.
@@ -74,50 +58,11 @@ pub fn strictly_subsumes(t1: &[Value], t2: &[Value]) -> bool {
 
 /// Remove strictly subsumed rows (and exact duplicates) from `table`,
 /// preserving first-occurrence order of the survivors.
-///
-/// [`SubsumptionAlgo::Adaptive`] resolves to one of the two base
-/// algorithms per call:
-///
-/// * ≤ `ADAPTIVE_NAIVE_MAX_ROWS` rows → naive (the quadratic scan's
-///   constant factors beat partitioning on small inputs);
-/// * a leading-row sample whose null-masks are almost all distinct →
-///   naive (near-unique masks mean tiny partitions, so the partitioned
-///   pass degenerates into a mask-pair scan with hashing overhead);
-/// * otherwise → partitioned.
-///
-/// Every adaptive dispatch increments `subsumption.adaptive_choices`.
 pub fn remove_subsumed(table: &mut Table, algo: SubsumptionAlgo) {
     match algo {
         SubsumptionAlgo::Naive => remove_subsumed_naive(table),
         SubsumptionAlgo::Partitioned => remove_subsumed_partitioned(table),
-        SubsumptionAlgo::Adaptive => {
-            metrics::incr(Counter::SubsumptionAdaptiveChoices);
-            if pick_naive(table) {
-                remove_subsumed_naive(table);
-            } else {
-                remove_subsumed_partitioned(table);
-            }
-        }
     }
-}
-
-/// The [`SubsumptionAlgo::Adaptive`] decision: `true` → naive.
-fn pick_naive(table: &Table) -> bool {
-    let n = table.len();
-    if n <= ADAPTIVE_NAIVE_MAX_ROWS {
-        return true;
-    }
-    // Partition shape from a leading sample: count distinct null-masks.
-    let sample = n.min(ADAPTIVE_SAMPLE_ROWS);
-    let arity = table.scheme().arity();
-    let mut masks: HashSet<Bitset> = HashSet::with_capacity(sample);
-    for row in &table.rows()[..sample] {
-        masks.insert(null_mask(row, arity));
-    }
-    // Near-unique masks → partitions of ~1 row each; the partitioned
-    // algorithm would pay a quadratic mask-pair scan plus hashing for no
-    // pruning, so fall back to the straight quadratic row scan.
-    masks.len() * 2 > sample
 }
 
 fn null_mask(row: &[Value], arity: usize) -> Bitset {
@@ -305,11 +250,7 @@ mod tests {
 
     #[test]
     fn removal_keeps_maximal_rows() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for algo in [SubsumptionAlgo::Naive, SubsumptionAlgo::Partitioned] {
             let mut t = table(&[
                 &["a", "b", "-"],
                 &["a", "b", "c"],
@@ -324,11 +265,7 @@ mod tests {
 
     #[test]
     fn exact_duplicates_are_collapsed() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for algo in [SubsumptionAlgo::Naive, SubsumptionAlgo::Partitioned] {
             let mut t = table(&[&["a", "b"], &["a", "b"], &["c", "-"]]);
             remove_subsumed(&mut t, algo);
             assert_eq!(t.len(), 2, "{algo:?}");
@@ -337,11 +274,7 @@ mod tests {
 
     #[test]
     fn incomparable_rows_all_survive() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for algo in [SubsumptionAlgo::Naive, SubsumptionAlgo::Partitioned] {
             let mut t = table(&[&["a", "-"], &["-", "b"], &["c", "-"]]);
             remove_subsumed(&mut t, algo);
             assert_eq!(t.len(), 3, "{algo:?}");
@@ -350,11 +283,7 @@ mod tests {
 
     #[test]
     fn equal_masks_different_values_survive() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for algo in [SubsumptionAlgo::Naive, SubsumptionAlgo::Partitioned] {
             let mut t = table(&[&["a", "-"], &["b", "-"]]);
             remove_subsumed(&mut t, algo);
             assert_eq!(t.len(), 2, "{algo:?}");
@@ -363,11 +292,7 @@ mod tests {
 
     #[test]
     fn chains_of_subsumption_leave_only_top() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for algo in [SubsumptionAlgo::Naive, SubsumptionAlgo::Partitioned] {
             let mut t = table(&[&["a", "-", "-"], &["a", "b", "-"], &["a", "b", "c"]]);
             remove_subsumed(&mut t, algo);
             assert_eq!(t.len(), 1, "{algo:?}");
@@ -386,11 +311,7 @@ mod tests {
 
     #[test]
     fn empty_table_is_fine() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for algo in [SubsumptionAlgo::Naive, SubsumptionAlgo::Partitioned] {
             let mut t = table(&[]);
             remove_subsumed(&mut t, algo);
             assert!(t.is_empty());
@@ -435,45 +356,18 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_picks_naive_on_small_and_partitioned_on_large() {
-        // small: under the row floor
-        assert!(super::pick_naive(&random_table(
-            ADAPTIVE_NAIVE_MAX_ROWS,
-            4,
-            1
-        )));
-        // large with few distinct masks (arity 4, domain {null,1..4}):
-        // the sample repeats masks, so partitioning pays off
-        assert!(!super::pick_naive(&random_table(1000, 4, 2)));
-        // large but every sampled row has a distinct mask → naive
-        let wide = Table::new(
-            scheme(12),
-            (0..200u32)
-                .map(|i| {
-                    (0..12)
-                        .map(|k| {
-                            if (i >> k) & 1 == 0 {
-                                Value::Null
-                            } else {
-                                Value::Int(1)
-                            }
-                        })
-                        .collect()
-                })
-                .collect(),
-        );
-        assert!(super::pick_naive(&wide));
-    }
-
-    #[test]
-    fn adaptive_agrees_with_reference_on_random_tables() {
+    fn partitioned_agrees_with_reference_on_random_tables() {
         for seed in [3u64, 17, 99] {
             let base = random_table(700, 5, seed);
             let mut reference = base.clone();
-            let mut adaptive = base.clone();
+            let mut partitioned = base.clone();
             remove_subsumed_naive(&mut reference);
-            remove_subsumed(&mut adaptive, SubsumptionAlgo::Adaptive);
-            assert_eq!(reference.rows(), adaptive.rows(), "seed {seed}");
+            remove_subsumed(&mut partitioned, SubsumptionAlgo::Partitioned);
+            assert!(
+                reference.len() < base.len(),
+                "workload must exercise removal"
+            );
+            assert_eq!(reference.rows(), partitioned.rows(), "seed {seed}");
         }
     }
 }

@@ -99,6 +99,38 @@ pub fn parse_expr_list(input: &str) -> Result<Vec<Expr>> {
     Ok(out)
 }
 
+/// Parse one identifier — plain, or double-quoted with `""` escaping an
+/// embedded quote — by the lexer's rules: the inverse of
+/// [`crate::schema::format_ident`]. For bare names read from text, such
+/// as a target attribute.
+///
+/// ```
+/// use clio_relational::parser::parse_ident;
+///
+/// assert_eq!(parse_ident("ID").unwrap(), "ID");
+/// assert_eq!(parse_ident(r#" "ID ""col""" "#).unwrap(), r#"ID "col""#);
+/// assert!(parse_ident("ID col").is_err());
+/// ```
+pub fn parse_ident(input: &str) -> Result<String> {
+    let (tokens, end) = lex(input)?;
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        end,
+    };
+    let Some(TokenKind::Ident(name)) = p.peek().map(|t| t.kind.clone()) else {
+        return Err(p.err_here("expected an identifier"));
+    };
+    p.pos += 1;
+    if let Some(tok) = p.peek() {
+        return Err(parse_error_at(
+            tok,
+            format!("unexpected trailing input `{}`", tok.kind.describe()),
+        ));
+    }
+    Ok(name)
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum TokenKind {
     Ident(String),

@@ -93,10 +93,10 @@ proptest! {
         let w = generate(&spec);
         let funcs = funcs();
         let serial = clio::relational::exec::with_threads(1, || {
-            full_disjunction_naive(&w.db, &w.graph, &funcs, SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&w.db, &w.graph, &funcs, engine_subsumption()).unwrap()
         });
         let parallel = clio::relational::exec::with_threads(4, || {
-            full_disjunction_naive(&w.db, &w.graph, &funcs, SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&w.db, &w.graph, &funcs, engine_subsumption()).unwrap()
         });
         // deliberately NO sort_canonical: row order is part of the claim
         prop_assert_eq!(serial.table().rows(), parallel.table().rows());
@@ -678,57 +678,48 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The eviction policy is **answer-invisible**: the same operator
-    /// sequence replayed under `Lru` and `CostAware`, with a byte budget
-    /// tight enough to force evictions on both sides, produces
-    /// byte-identical step outputs and final digests. The policy decides
-    /// only which entries stay resident (and therefore what gets
-    /// recomputed), never what any operator returns.
+    /// Eviction is **answer-invisible**: the same operator sequence
+    /// replayed on a cached session under each of four byte budgets —
+    /// none, two tight enough to force evictions, unbounded — produces
+    /// step outputs and a final digest byte-identical to an uncached
+    /// session's. Eviction decides only which entries stay resident (and
+    /// therefore what gets recomputed), never what any operator returns.
     #[test]
     fn eviction_policy_is_transparent_to_operator_sequences(
         ops in proptest::collection::vec(session_op_strategy(), 1..12),
-        budget in prop_oneof![
-            Just(0usize),
-            Just(2_048usize),
-            Just(8_192usize),
-            Just(usize::MAX),
-        ],
     ) {
-        let build = |policy| {
-            let mut s = Session::new(paper_database(), kids_target());
-            s.set_cache_policy(policy);
-            s.cache().set_capacity(budget);
-            s
-        };
-        let mut lru = build(clio_incr::EvictionPolicy::Lru);
-        let mut cost = build(clio_incr::EvictionPolicy::CostAware);
-        for (step, &op) in ops.iter().enumerate() {
-            let a = apply_session_op(&mut lru, op, step);
-            let b = apply_session_op(&mut cost, op, step);
-            prop_assert_eq!(a, b, "diverged at step {} ({:?})", step, op);
+        let mut plain = Session::new(paper_database(), kids_target());
+        plain.set_cache_enabled(false);
+        let expected: Vec<String> = ops
+            .iter()
+            .enumerate()
+            .map(|(step, &op)| apply_session_op(&mut plain, op, step))
+            .collect();
+        for budget in [0usize, 2_048, 8_192, usize::MAX] {
+            let mut cached = Session::new(paper_database(), kids_target());
+            cached.cache().set_capacity(budget);
+            for (step, &op) in ops.iter().enumerate() {
+                let got = apply_session_op(&mut cached, op, step);
+                prop_assert_eq!(
+                    &got, &expected[step],
+                    "budget {} diverged at step {} ({:?})", budget, step, op
+                );
+            }
+            prop_assert_eq!(session_digest(&cached), session_digest(&plain));
         }
-        prop_assert_eq!(session_digest(&lru), session_digest(&cost));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Collapsing the byte budget to zero at an arbitrary step —
-    /// optionally switching eviction policy at runtime first — empties
-    /// the cache immediately, changes no answer afterwards, and keeps
-    /// the eviction ledger consistent: the cost-aware breakdown never
-    /// exceeds total evictions, and a zero budget leaves nothing
-    /// resident through the end of the run.
+    /// Collapsing the byte budget to zero at an arbitrary step empties
+    /// the cache immediately, changes no answer afterwards, and leaves
+    /// nothing resident through the end of the run.
     #[test]
     fn zero_capacity_empties_the_cache_without_changing_answers(
         ops in proptest::collection::vec(session_op_strategy(), 2..10),
         cut in 0usize..10,
-        switch in prop_oneof![
-            Just(None),
-            Just(Some(clio_incr::EvictionPolicy::Lru)),
-            Just(Some(clio_incr::EvictionPolicy::CostAware)),
-        ],
     ) {
         let mut plain = Session::new(paper_database(), kids_target());
         plain.set_cache_enabled(false);
@@ -736,9 +727,6 @@ proptest! {
         let cut = cut % ops.len();
         for (step, &op) in ops.iter().enumerate() {
             if step == cut {
-                if let Some(policy) = switch {
-                    squeezed.cache().set_policy(policy);
-                }
                 squeezed.cache().set_capacity(0);
                 let stats = squeezed.cache().stats();
                 prop_assert_eq!(stats.entries, 0, "zero budget left entries resident");
@@ -751,12 +739,6 @@ proptest! {
         let stats = squeezed.cache().stats();
         prop_assert_eq!(stats.entries, 0, "entries survived a zero budget");
         prop_assert_eq!(stats.bytes, 0);
-        prop_assert!(
-            stats.cost_evictions <= stats.evictions,
-            "cost-aware evictions ({}) exceed total evictions ({})",
-            stats.cost_evictions,
-            stats.evictions
-        );
         prop_assert_eq!(session_digest(&plain), session_digest(&squeezed));
     }
 }
