@@ -5,8 +5,8 @@
 //! [`command_specs`] table drives both the parser's vocabulary and the
 //! `help` text ([`help_text`]) — a command cannot ship undocumented,
 //! because the help is generated from the same table the tests check
-//! the parser against. Multi-word command families (`cache …`, `db …`,
-//! `map …`) are each one typed [`SubcommandSpec`] table: the same
+//! the parser against. Multi-word command families (`cache …`,
+//! `db …`) are each one typed [`SubcommandSpec`] table: the same
 //! entry carries the help line *and* the argument parser, and the
 //! generic `parse_family` dispatcher produces uniform `unknown
 //! … subcommand` errors. [`Shell`](crate::engine::Shell) dispatches
@@ -26,8 +26,8 @@ pub struct CommandSpec {
     pub description: &'static [&'static str],
 }
 
-/// One typed subcommand of a command family (`cache …`, `db …`,
-/// `map …`): the entry that appears in `help` plus the parser for the
+/// One typed subcommand of a command family (`cache …`, `db …`): the
+/// entry that appears in `help` plus the parser for the
 /// subcommand's argument tail. Keeping both in one row means a family
 /// subcommand cannot be parsed without being documented, or vice versa.
 pub struct SubcommandSpec<A: 'static> {
@@ -64,29 +64,19 @@ impl<A> SubcommandSpec<A> {
 
 /// Dispatch `rest` (everything after the family keyword) against a
 /// subcommand table: split off the subcommand word, find its row, and
-/// run the row's argument parser. Unknown subcommands get the uniform
-/// ``unknown {family} subcommand `{sub}` (try `help`)`` error; a bare
-/// family word with no bare-form row gets a usage line listing the
-/// subcommand names.
+/// run the row's argument parser (every family has a bare-form row, so
+/// a bare family word always parses). Unknown subcommands get the
+/// uniform ``unknown {family} subcommand `{sub}` (try `help`)`` error.
 fn parse_family<A>(
     family: &'static str,
     table: &'static [SubcommandSpec<A>],
     rest: &str,
 ) -> Result<A, ParseError> {
     let (sub, arg) = rest.split_once(' ').unwrap_or((rest, ""));
-    let arg = arg.trim();
-    if let Some(spec) = table.iter().find(|s| s.name() == sub) {
-        return (spec.parse)(arg);
+    match table.iter().find(|s| s.name() == sub) {
+        Some(spec) => (spec.parse)(arg.trim()),
+        None => err(format!("unknown {family} subcommand `{sub}` (try `help`)")),
     }
-    if sub.is_empty() {
-        let names: Vec<&str> = table
-            .iter()
-            .map(SubcommandSpec::name)
-            .filter(|n| !n.is_empty())
-            .collect();
-        return err(format!("usage: {family} <{}>", names.join("|")));
-    }
-    err(format!("unknown {family} subcommand `{sub}` (try `help`)"))
 }
 
 /// The `cache` family: one row per subcommand, driving parser and help.
@@ -152,8 +142,8 @@ pub static DB_SUBCOMMANDS: &[SubcommandSpec<DbAction>] = &[
     SubcommandSpec {
         usage: "db load <dir>",
         description: &[
-            "restart the session over a paged",
-            "database (also: clio --db-dir)",
+            "restart the session over a CSV or paged",
+            "database directory (also: clio --source)",
         ],
         parse: |arg| {
             if arg.is_empty() {
@@ -161,28 +151,6 @@ pub static DB_SUBCOMMANDS: &[SubcommandSpec<DbAction>] = &[
             }
             Ok(DbAction::Load(arg.to_owned()))
         },
-    },
-];
-
-/// The `map` family: the MAP statement language (docs/planner.md).
-pub static MAP_SUBCOMMANDS: &[SubcommandSpec<MapAction>] = &[
-    SubcommandSpec {
-        usage: "map load <file>",
-        description: &[
-            "load a MAP-language statement as a new",
-            "workspace (see docs/planner.md)",
-        ],
-        parse: |arg| {
-            if arg.is_empty() {
-                return err("usage: map load <file>");
-            }
-            Ok(MapAction::Load(arg.to_owned()))
-        },
-    },
-    SubcommandSpec {
-        usage: "map show",
-        description: &["print the active mapping as a MAP", "statement"],
-        parse: |_| Ok(MapAction::Show),
     },
 ];
 
@@ -255,7 +223,7 @@ const COMMANDS_HEAD: &[CommandSpec] = &[
     },
     CommandSpec {
         usage: "mapping",
-        description: &["print the active mapping"],
+        description: &["print the active mapping as a MAP", "statement"],
     },
     CommandSpec {
         usage: "sql",
@@ -336,7 +304,7 @@ const COMMANDS_TAIL: &[CommandSpec] = &[
 ];
 
 /// Every shell command's `help` entry, in `help` order: the standalone
-/// commands plus one entry per row of the `cache`/`db`/`map`
+/// commands plus one entry per row of the `cache`/`db`
 /// subcommand tables — the same rows the parser dispatches on, so help
 /// and parser cannot drift apart.
 #[must_use]
@@ -345,7 +313,6 @@ pub fn command_specs() -> Vec<CommandSpec> {
     out.extend_from_slice(COMMANDS_HEAD);
     out.extend(CACHE_SUBCOMMANDS.iter().map(SubcommandSpec::spec));
     out.extend(DB_SUBCOMMANDS.iter().map(SubcommandSpec::spec));
-    out.extend(MAP_SUBCOMMANDS.iter().map(SubcommandSpec::spec));
     out.extend_from_slice(COMMANDS_TAIL);
     out
 }
@@ -421,16 +388,6 @@ pub enum DbAction {
     /// `db load <dir>` — restart the session over the paged database
     /// at `<dir>`.
     Load(String),
-}
-
-/// The `map` subcommands (the MAP statement language).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MapAction {
-    /// `map load <file>` — parse a MAP-language statement file and
-    /// adopt it as a new workspace.
-    Load(String),
-    /// `map show` — print the active mapping as a MAP statement.
-    Show,
 }
 
 /// One parsed shell command. Field-free variants read the session;
@@ -542,8 +499,6 @@ pub enum Command {
     Cache(CacheAction),
     /// `db [save|load ...]`.
     Db(DbAction),
-    /// `map load|show ...`.
-    Map(MapAction),
     /// `explain`.
     Explain,
     /// `profile`.
@@ -570,7 +525,7 @@ pub enum Command {
         /// Output path.
         path: String,
     },
-    /// `load <file>` — the same as `map load <file>`.
+    /// `load <file>` — adopt a MAP statement file as a new workspace.
     LoadMapping {
         /// Input path.
         path: String,
@@ -619,7 +574,6 @@ impl Command {
             Command::Trace { .. } => "net.request.trace",
             Command::Cache(_) => "net.request.cache",
             Command::Db(_) => "net.request.db",
-            Command::Map(_) => "net.request.map",
             Command::Explain => "net.request.explain",
             Command::Profile => "net.request.profile",
             Command::ProfileSpans { .. } => "net.request.profile",
@@ -777,7 +731,6 @@ pub fn parse(line: &str) -> Result<Command, ParseError> {
             rest,
         )?)),
         "db" => Ok(Command::Db(parse_family("db", DB_SUBCOMMANDS, rest)?)),
-        "map" => Ok(Command::Map(parse_family("map", MAP_SUBCOMMANDS, rest)?)),
         "explain" => Ok(Command::Explain),
         "profile" => {
             let (sub, arg) = rest.split_once(' ').unwrap_or((rest, ""));
@@ -1046,26 +999,19 @@ mod tests {
         );
     }
 
-    /// Every keyword in the command table parses (possibly to a usage
-    /// error, but never to `unknown command`), and every keyword the
-    /// parser accepts appears in the table — help and parser cannot
-    /// drift apart.
+    /// One command per job: `load` reads MAP text and `mapping` prints
+    /// it, so `map` is no command.
     #[test]
-    fn map_subcommands() {
-        assert_eq!(
-            parse("map load demo.map").unwrap(),
-            Command::Map(MapAction::Load("demo.map".into()))
-        );
-        assert_eq!(parse("map show").unwrap(), Command::Map(MapAction::Show));
-        assert_eq!(parse("map load").unwrap_err().0, "usage: map load <file>");
-        assert_eq!(parse("map").unwrap_err().0, "usage: map <load|show>");
-        assert!(parse("map frobnicate")
-            .unwrap_err()
-            .0
-            .contains("unknown map subcommand"));
+    fn map_is_not_a_command() {
+        for sub in ["show", "load demo.map", ""] {
+            assert_eq!(
+                parse(&format!("map {sub}")).unwrap_err().0,
+                "unknown command `map` (try `help`)"
+            );
+        }
+        assert_eq!(parse("mapping").unwrap().kind(), "mapping");
         assert_eq!(parse("explain").unwrap(), Command::Explain);
         assert_eq!(parse("explain").unwrap().kind(), "explain");
-        assert_eq!(parse("map show").unwrap().kind(), "map");
     }
 
     /// The family dispatcher's errors are byte-identical to the
@@ -1088,6 +1034,10 @@ mod tests {
         );
     }
 
+    /// Every keyword in the command table parses (possibly to a usage
+    /// error, but never to `unknown command`), and every keyword the
+    /// parser accepts appears in the table — help and parser cannot
+    /// drift apart.
     #[test]
     fn table_and_parser_agree() {
         for spec in command_specs() {
@@ -1134,7 +1084,6 @@ mod tests {
             "contributions",
             "save",
             "load",
-            "map",
             "explain",
             "quit",
         ] {
@@ -1156,10 +1105,7 @@ mod tests {
         assert!(help.contains("  source                      show the source schema"));
         assert!(help.contains("  cache limit <bytes>         set the cache's eviction byte budget"));
         assert!(help.contains("  db save <dir>               write the source database as a paged"));
-        assert!(
-            help.contains("  map load <file>             load a MAP-language statement as a new")
-        );
-        assert!(help.contains("  map show                    print the active mapping as a MAP"));
+        assert!(help.contains("  mapping                     print the active mapping as a MAP"));
         assert!(
             help.contains("  explain                     evaluation plan of the active mapping")
         );

@@ -16,11 +16,53 @@ use clio_core::session_pool::SessionPool;
 use clio_datagen::synthetic::{SyntheticSpec, Topology};
 use clio_incr::{CacheStore, DiskStore, MemStore};
 use clio_relational::database::Database;
+use clio_relational::error::Error;
+use clio_relational::parser::parse_declaration;
 use clio_relational::schema::RelSchema;
+use clio_relational::{csv, storage};
 
 /// Buffer-pool page budget used for paged databases when `--db-pool`
 /// is not given (also the pool `db load` opens with).
 pub const DEFAULT_DB_POOL: usize = 64;
+
+/// File name of the target-schema declaration beside a source
+/// database (written by `db save`).
+pub const TARGET_FILE: &str = "_target.txt";
+
+/// Open the source directory `dir` in either layout — the one opener
+/// behind `--source` and `db load` — with `target`, else the
+/// directory's `_target.txt`, as its target schema. The relation files
+/// present pick the layout ([`storage::is_paged`]); a paged directory
+/// gets a pool of `pool` pages (default [`DEFAULT_DB_POOL`]), and a
+/// pool for CSV files is a usage error. Errors are the binary's exact
+/// stderr line.
+pub fn open_source_dir(
+    dir: &str,
+    target: Option<RelSchema>,
+    pool: Option<usize>,
+) -> clio_relational::error::Result<(Database, RelSchema)> {
+    let path = Path::new(dir);
+    let cannot_load = |e: Error| Error::Invalid(format!("cannot load `{dir}`: {e}"));
+    let db = if storage::is_paged(path).map_err(cannot_load)? {
+        storage::open_paged(path, pool.unwrap_or(DEFAULT_DB_POOL))
+    } else if pool.is_some() {
+        return Err(Error::Invalid(format!(
+            "--db-pool requires a paged --source directory; `{dir}` holds CSV files (see --help)"
+        )));
+    } else {
+        csv::read_database(path)
+    }
+    .map_err(cannot_load)?;
+    if let Some(target) = target {
+        return Ok((db, target));
+    }
+    let file = path.join(TARGET_FILE);
+    let text = std::fs::read_to_string(&file)
+        .map_err(|e| Error::Invalid(format!("cannot read `{}`: {e}", file.display())))?;
+    let target = parse_declaration(&text)
+        .map_err(|e| Error::Invalid(format!("bad `{}`: {e}", file.display())))?;
+    Ok((db, target))
+}
 
 /// A command-line usage error. `Display` renders the exact stderr
 /// message of the `clio-shell` binary (which then exits 2).
@@ -88,15 +130,14 @@ pub struct CliConfig {
     pub batch_scripts: Vec<String>,
     /// `--sessions <n>`: batch width (validated positive).
     pub sessions_width: Option<usize>,
-    /// `--source <dir>`: CSV source database directory.
+    /// `--source <dir>`: source database directory, CSV or paged (see
+    /// [`open_source_dir`] and `docs/storage.md`).
     pub source_dir: Option<String>,
-    /// `--db-dir <dir>`: paged source database directory (heap files
-    /// written by `db save`; see `docs/storage.md`).
-    pub db_dir: Option<String>,
-    /// `--db-pool <pages>`: buffer-pool page budget for `--db-dir`
-    /// (validated positive; default 64).
+    /// `--db-pool <pages>`: buffer-pool page budget for a paged
+    /// `--source` (validated positive; default 64).
     pub db_pool: Option<usize>,
-    /// `--target <schema>`: target schema text.
+    /// `--target <schema>`: target schema declaration; replaces the
+    /// source's own target.
     pub target_spec: Option<String>,
     /// `--mapping <file>`: MAP-language statement file loaded as the
     /// initial workspace (see `docs/planner.md`).
@@ -153,7 +194,7 @@ pub(crate) static CONFLICTS: &[Conflict] = &[
     // ... and the local script machinery has no meaning on a socket
     Conflict {
         applies: |c| c.mode != Mode::Local && c.mapping_file.is_some(),
-        message: "--mapping requires local mode (use `map load` over the wire; see --help)",
+        message: "--mapping requires local mode (use `load` over the wire; see --help)",
     },
     Conflict {
         applies: |c| c.mode != Mode::Local && !c.batch_scripts.is_empty(),
@@ -169,20 +210,12 @@ pub(crate) static CONFLICTS: &[Conflict] = &[
     },
     // source selection (a `connect` client opens no source)
     Conflict {
-        applies: |c| c.opens_source() && c.source_dir.is_some() && c.target_spec.is_none(),
-        message: "--source requires --target \"Name (attr type, ...)\"",
+        applies: |c| c.opens_source() && c.source_dir.is_some() && c.synthetic.is_some(),
+        message: "--source conflicts with --synthetic (see --help)",
     },
     Conflict {
-        applies: |c| c.opens_source() && c.db_pool.is_some() && c.db_dir.is_none(),
-        message: "--db-pool requires --db-dir (see --help)",
-    },
-    Conflict {
-        applies: |c| c.opens_source() && c.db_dir.is_some() && c.source_dir.is_some(),
-        message: "--db-dir conflicts with --source (see --help)",
-    },
-    Conflict {
-        applies: |c| c.opens_source() && c.db_dir.is_some() && c.synthetic.is_some(),
-        message: "--db-dir conflicts with --synthetic (see --help)",
+        applies: |c| c.opens_source() && c.db_pool.is_some() && c.source_dir.is_none(),
+        message: "--db-pool requires --source (see --help)",
     },
     // batch mode
     Conflict {
@@ -361,7 +394,6 @@ impl CliConfig {
                 "--script" => cfg.script = Some(value()?),
                 "--source" => cfg.source_dir = Some(value()?),
                 "--target" => cfg.target_spec = Some(value()?),
-                "--db-dir" => cfg.db_dir = Some(value()?),
                 "--metrics" => cfg.metrics_path = Some(value()?),
                 "--cache-dir" => cfg.cache_dir = Some(value()?),
                 "--mapping" => cfg.mapping_file = Some(value()?),
@@ -448,7 +480,7 @@ mod tests {
             "t.jsonl",
             "--slow-ms",
             "25",
-            "--db-dir",
+            "--source",
             "/tmp/paged",
             "--db-pool",
             "8",
@@ -456,7 +488,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cfg.script.as_deref(), Some("s.clio"));
-        assert_eq!(cfg.db_dir.as_deref(), Some("/tmp/paged"));
+        assert_eq!(cfg.source_dir.as_deref(), Some("/tmp/paged"));
         assert_eq!(cfg.db_pool, Some(8));
         assert_eq!(cfg.metrics_path.as_deref(), Some("m.json"));
         assert_eq!(cfg.cache_dir.as_deref(), Some("/tmp/cc"));
@@ -497,7 +529,13 @@ mod tests {
             err(&["--threads", "0"]),
             "--threads expects a positive integer, got `0`"
         );
-        assert_eq!(err(&["--db-dir"]), "--db-dir requires a value (see --help)");
+        assert_eq!(err(&["--source"]), "--source requires a value (see --help)");
+        // one flag opens a source directory of either layout
+        let paged_flag = ["--db", "-dir"].concat();
+        assert_eq!(
+            err(&[&paged_flag, "p"]),
+            format!("unknown flag `{paged_flag}` (see --help)")
+        );
         assert_eq!(
             err(&["--db-pool", "0"]),
             "--db-pool expects a positive integer, got `0`"
@@ -638,7 +676,7 @@ mod tests {
             ("--idle-ms 5", format!("--idle-ms {serve_only}")),
             (
                 "serve --mapping m.map",
-                "--mapping requires local mode (use `map load` over the wire; see --help)".into(),
+                "--mapping requires local mode (use `load` over the wire; see --help)".into(),
             ),
             (
                 "serve a.clio",
@@ -657,20 +695,12 @@ mod tests {
                 "--script conflicts with serve mode (see --help)".into(),
             ),
             (
-                "--source d",
-                "--source requires --target \"Name (attr type, ...)\"".into(),
+                "--source d --target T --synthetic chain,3,10",
+                "--source conflicts with --synthetic (see --help)".into(),
             ),
             (
                 "--db-pool 4",
-                "--db-pool requires --db-dir (see --help)".into(),
-            ),
-            (
-                "--db-dir p --source d --target T",
-                "--db-dir conflicts with --source (see --help)".into(),
-            ),
-            (
-                "--db-dir p --synthetic chain,2,2",
-                "--db-dir conflicts with --synthetic (see --help)".into(),
+                "--db-pool requires --source (see --help)".into(),
             ),
             ("--script s.clio a.clio", format!("--script {positional}")),
             ("--mapping m.map a.clio", format!("--mapping {positional}")),
@@ -703,11 +733,28 @@ mod tests {
         );
         assert_eq!(
             err(&["--sessions", "2", "--db-pool", "3"]),
-            "--db-pool requires --db-dir (see --help)"
+            "--db-pool requires --source (see --help)"
         );
         // a client opens no source, so source flags cannot conflict
-        let cfg = CliConfig::parse(&argv(&["connect", "h:1", "--source", "d"])).unwrap();
+        let cfg = CliConfig::parse(&argv(&[
+            "connect",
+            "h:1",
+            "--source",
+            "d",
+            "--synthetic",
+            "chain,2,2",
+        ]))
+        .unwrap();
         assert_eq!(cfg.source_dir.as_deref(), Some("d"));
+        // --source needs no --target (the directory may carry
+        // `_target.txt`), and --target replaces the target of any source
+        for line in [
+            &["--source", "d"][..],
+            &["--target", "T (a int)"],
+            &["--target", "T (a int)", "--synthetic", "chain,2,2"],
+        ] {
+            CliConfig::parse(&argv(line)).unwrap();
+        }
         // --help wins over every conflict
         assert!(
             CliConfig::parse(&argv(&["--port", "1", "--help"]))

@@ -10,7 +10,8 @@ use clio_core::sql::{generate_sql, SqlOptions};
 use clio_relational::error::{Error, Result};
 use clio_relational::value::Value;
 
-use crate::command::{self, CacheAction, Command, DbAction, FilterKind, MapAction, StatsAction};
+use crate::command::{self, CacheAction, Command, DbAction, FilterKind, StatsAction};
+use crate::config::{open_source_dir, TARGET_FILE};
 
 /// The shell state: a session plus presentation settings.
 pub struct Shell {
@@ -52,8 +53,8 @@ impl Shell {
     }
 
     /// Read a MAP statement file and adopt it as a new workspace,
-    /// returning the workspace id — the one handler behind `load`,
-    /// `map load` and the binary's `--mapping` flag.
+    /// returning the workspace id — the one handler behind `load` and
+    /// the binary's `--mapping` flag.
     ///
     /// # Errors
     ///
@@ -151,7 +152,7 @@ impl Shell {
                     w.illustration.examples.iter().collect();
                 Ok(clio_core::example::render_example_targets(&tscheme, &refs))
             }
-            Command::Mapping => Ok(self.active()?.mapping.to_string()),
+            Command::Mapping => Ok(clio_lang::print_mapping(&self.active()?.mapping)),
             Command::Sql => {
                 let db = self.session.shared_database();
                 let m = self.active()?.mapping.clone();
@@ -181,7 +182,7 @@ impl Shell {
                     .map_err(|e| Error::Invalid(format!("cannot write `{path}`: {e}")))?;
                 Ok(format!("saved to {path}\n"))
             }
-            Command::LoadMapping { path } | Command::Map(MapAction::Load(path)) => {
+            Command::LoadMapping { path } => {
                 let id = self.load_mapping(&path)?;
                 Ok(format!("loaded as workspace {id}\n"))
             }
@@ -343,7 +344,6 @@ impl Shell {
             }
             Command::Cache(action) => self.cache_command(action),
             Command::Db(action) => self.db_command(action),
-            Command::Map(MapAction::Show) => Ok(clio_lang::print_mapping(&self.active()?.mapping)),
             Command::Explain => self.session.explain_active(),
             Command::Trace { filter } => {
                 // live span tree, optionally filtered by name — the
@@ -462,13 +462,13 @@ impl Shell {
     /// backend the session's source database answers from; `db save`
     /// writes the database — and the session's target schema, as
     /// `_target.txt` — as a paged on-disk directory (see
-    /// docs/storage.md); `db load` restarts the session over such a
-    /// directory, reusing its persisted value index instead of
-    /// rebuilding one. Loading replaces the whole session, so
-    /// workspaces, accepted mappings, and the cache's contents start
-    /// fresh; the cache's settings (on/off, byte limit) carry
-    /// over. A persistent store stays behind: it is namespaced by the
-    /// previous database's digest.
+    /// docs/storage.md); `db load` restarts the session over a source
+    /// directory of either layout and its `_target.txt`, reusing a
+    /// paged directory's persisted value index instead of rebuilding
+    /// one. Loading replaces the whole session, so workspaces, accepted
+    /// mappings, and the cache's contents start fresh; the cache's
+    /// settings (on/off, byte limit) carry over. A persistent store
+    /// stays behind: it is namespaced by the previous database's digest.
     fn db_command(&mut self, action: DbAction) -> Result<String> {
         match action {
             DbAction::Stats => {
@@ -501,9 +501,9 @@ impl Shell {
                     path,
                     clio_pager::DEFAULT_PAGE_SIZE,
                 )?;
-                let spec = clio_lang::print_target_schema(self.session.target_schema());
-                std::fs::write(path.join("_target.txt"), format!("{spec}\n")).map_err(|e| {
-                    Error::Invalid(format!("cannot write `{dir}/_target.txt`: {e}"))
+                let target = self.session.target_schema();
+                std::fs::write(path.join(TARGET_FILE), format!("{target}\n")).map_err(|e| {
+                    Error::Invalid(format!("cannot write `{dir}/{TARGET_FILE}`: {e}"))
                 })?;
                 Ok(format!(
                     "saved {} relation(s) to {dir}\n",
@@ -511,12 +511,7 @@ impl Shell {
                 ))
             }
             DbAction::Load(dir) => {
-                let path = std::path::Path::new(&dir);
-                let db =
-                    clio_relational::storage::open_paged(path, crate::config::DEFAULT_DB_POOL)?;
-                let target_text = std::fs::read_to_string(path.join("_target.txt"))
-                    .map_err(|e| Error::Invalid(format!("cannot read `{dir}/_target.txt`: {e}")))?;
-                let target = clio_lang::parse_target_schema(&target_text)?;
+                let (db, target) = open_source_dir(&dir, None, None)?;
                 let mut session = Session::shared(std::sync::Arc::new(db), target);
                 let cache = self.session.cache();
                 session.set_cache_enabled(cache.enabled());
@@ -589,7 +584,7 @@ mod tests {
         let mut sh = shell();
         assert!(run(&mut sh, "help").contains("corr <expr>"));
         let s = run(&mut sh, "source");
-        assert!(s.contains("Children(ID: str not null"));
+        assert!(s.contains("Children (ID str not null"));
         assert!(s.contains("fk Children(mid) -> Parents(ID)"));
     }
 
@@ -641,7 +636,7 @@ mod tests {
         let sql = run(&mut sh, "sql");
         assert!(sql.contains("JOIN SBPS"));
         assert!(run(&mut sh, "illustration").contains('+'));
-        assert!(run(&mut sh, "mapping").contains("corr Children.ID -> ID"));
+        assert!(run(&mut sh, "mapping").contains("SELECT Children.ID AS ID, "));
         assert!(run(&mut sh, "accept").contains("accepted (1 total)"));
     }
 
@@ -658,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn map_load_show_and_explain() {
+    fn load_mapping_and_explain() {
         let mut sh = shell();
         let path = std::env::temp_dir().join(format!("clio-cli-map-{}.map", std::process::id()));
         let text = "MAP Kids (ID str not null, name str, affiliation str, address str, \
@@ -667,11 +662,11 @@ mod tests {
                     SELECT Children.ID AS ID, Children.name AS name\n";
         std::fs::write(&path, text).unwrap();
         let path_str = path.to_str().unwrap().to_owned();
-        let out = run(&mut sh, &format!("map load {path_str}"));
+        let out = run(&mut sh, &format!("load {path_str}"));
         assert!(out.contains("loaded as workspace"), "{out}");
         std::fs::remove_file(&path).ok();
-        // `map show` prints the active mapping back in canonical MAP form.
-        let shown = run(&mut sh, "map show");
+        // `mapping` prints the active mapping back in canonical MAP form.
+        let shown = run(&mut sh, "mapping");
         assert!(shown.starts_with("MAP Kids"), "{shown}");
         assert!(shown.contains("SELECT Children.ID AS ID"), "{shown}");
         // The shown text re-loads to the same mapping.
@@ -684,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn map_load_reports_parse_position() {
+    fn load_reports_parse_position() {
         let mut sh = shell();
         let path = std::env::temp_dir().join(format!("clio-cli-mapbad-{}.map", std::process::id()));
         std::fs::write(
@@ -692,10 +687,10 @@ mod tests {
             "MAP Kids (ID str)\nFROM Children\nSELECT ??? AS ID\n",
         )
         .unwrap();
-        let out = run(&mut sh, &format!("map load {}", path.display()));
+        let out = run(&mut sh, &format!("load {}", path.display()));
         std::fs::remove_file(&path).ok();
         assert!(out.starts_with("error: parse error at line 3"), "{out}");
-        let missing = run(&mut sh, "map load /nonexistent/clio.map");
+        let missing = run(&mut sh, "load /nonexistent/clio.map");
         assert!(missing.starts_with("error: cannot read"), "{missing}");
     }
 
@@ -957,6 +952,22 @@ mod tests {
         assert!(run(&mut sh, "corr Children.ID -> ID").contains("ok"));
         assert!(run(&mut sh, "corr Children.name -> name").contains("ok"));
         assert!(run(&mut sh, "target").contains("Maya"));
+
+        // `db load` opens a CSV directory through the same opener
+        let csv_dir = dir.join("csv");
+        clio_relational::csv::write_database(sh.session.database(), &csv_dir).unwrap();
+        let csv_s = csv_dir.display().to_string();
+        let missing = run(&mut sh, &format!("db load {csv_s}"));
+        assert!(missing.starts_with("error: cannot read `"), "{missing}");
+        assert!(missing.contains("_target.txt`"), "{missing}");
+        std::fs::copy(dir.join("_target.txt"), csv_dir.join("_target.txt")).unwrap();
+        let loaded = run(&mut sh, &format!("db load {csv_s}"));
+        assert!(
+            loaded.starts_with(&format!("loaded {csv_s} (5 relation(s)")),
+            "{loaded}"
+        );
+        assert!(run(&mut sh, "db").contains("backend: memory"));
+        assert_eq!(run(&mut sh, "source"), source_mem);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -12,14 +12,14 @@
 //! ```
 
 use std::io::{BufRead, Write};
-use std::path::Path;
 
-use clio_cli::config::{CliConfig, Mode, DEFAULT_DB_POOL};
+use clio_cli::config::{open_source_dir, CliConfig, Mode};
 use clio_cli::engine::{Outcome, Shell};
 use clio_core::session_pool::SessionPool;
 use clio_datagen::paper::{kids_target, paper_database};
 use clio_datagen::synthetic::{generate, SyntheticSpec};
 use clio_relational::database::Database;
+use clio_relational::parser::parse_declaration;
 use clio_relational::schema::RelSchema;
 
 /// Generate a synthetic source from a validated spec, re-declaring the
@@ -41,35 +41,23 @@ fn synthetic_source(spec: SyntheticSpec) -> (Database, RelSchema) {
     (db, w.target)
 }
 
-/// Open the configured source and target schema: a CSV directory
-/// (`--source`), a paged directory (`--db-dir`, whose `_target.txt`
-/// names the target unless `--target` does), a synthetic source, or
-/// the paper's dataset. Flag combinations were already validated by
-/// [`CliConfig::parse`]; the error is the binary's exact stderr line.
+/// Open the configured source and target schema: a source directory
+/// of either layout (`--source`), a synthetic source, or the paper's
+/// dataset; `--target` replaces the source's own target. Flag
+/// combinations were already validated by [`CliConfig::parse`]; the
+/// error is the binary's exact stderr line.
 fn open_source(cfg: &CliConfig) -> Result<(Database, RelSchema), String> {
-    let parse_target =
-        |spec: &str| clio_lang::parse_target_schema(spec).map_err(|e| format!("bad --target: {e}"));
+    let target = match &cfg.target_spec {
+        Some(spec) => Some(parse_declaration(spec).map_err(|e| format!("bad --target: {e}"))?),
+        None => None,
+    };
     if let Some(dir) = &cfg.source_dir {
-        let db = clio_relational::csv::read_database(Path::new(dir))
-            .map_err(|e| format!("cannot load `{dir}`: {e}"))?;
-        let spec = cfg.target_spec.as_deref().unwrap_or_default();
-        return Ok((db, parse_target(spec)?));
+        return open_source_dir(dir, target, cfg.db_pool).map_err(|e| e.to_string());
     }
-    if let Some(dir) = &cfg.db_dir {
-        let pool = cfg.db_pool.unwrap_or(DEFAULT_DB_POOL);
-        let db = clio_relational::storage::open_paged(Path::new(dir), pool)
-            .map_err(|e| format!("cannot load `{dir}`: {e}"))?;
-        let spec = match &cfg.target_spec {
-            Some(spec) => spec.clone(),
-            None => std::fs::read_to_string(Path::new(dir).join("_target.txt")).map_err(|_| {
-                "--db-dir requires --target or a `_target.txt` in the directory".to_owned()
-            })?,
-        };
-        return Ok((db, parse_target(&spec)?));
-    }
-    Ok(cfg
+    let (db, own_target) = cfg
         .synthetic
-        .map_or_else(|| (paper_database(), kids_target()), synthetic_source))
+        .map_or_else(|| (paper_database(), kids_target()), synthetic_source);
+    Ok((db, target.unwrap_or(own_target)))
 }
 
 /// Execute script files as concurrent sessions of the pool, printing
@@ -169,18 +157,17 @@ flags:
                          <n> at a time as concurrent sessions (default
                          1; requires script arguments, conflicts with
                          --script)
-  --source <dir>         load a source database from CSV files (needs --target)
-  --target <schema>      target schema, e.g. \"Kids (ID str not null, name str)\"
+  --source <dir>         open a source database directory: CSV files, or a
+                         paged one written by `db save` (see docs/storage.md)
+  --target <schema>      target schema, e.g. \"Kids (ID str not null, name str)\";
+                         default: the --source directory's _target.txt, else
+                         the source's own
   --synthetic <spec>     generate a source: <topology>,<relations>,<rows>
                          (topology: chain | star | cycle | tree)
   --mapping <file>       load a MAP-language statement (see docs/planner.md)
                          as the initial workspace before reading commands
                          (single-session local mode only)
-  --db-dir <dir>         open a paged source database written by `db save`
-                         (relations stream through a buffer pool instead of
-                         loading upfront; see docs/storage.md); the target
-                         comes from --target or the directory's _target.txt
-  --db-pool <pages>      buffer-pool page budget for --db-dir (default 64)
+  --db-pool <pages>      buffer-pool page budget for a paged --source (default 64)
   --metrics <file>       collect work counters; write a JSON report on exit
                          (`-` writes the report to stdout after the shell
                          output)

@@ -143,7 +143,7 @@ mod tests {
         );
         assert_eq!(request_hist_name("stats chase"), "net.request.stats");
         assert_eq!(request_hist_name("db save /tmp/x"), "net.request.db");
-        assert_eq!(request_hist_name("map show"), "net.request.map");
+        assert_eq!(request_hist_name("mapping"), "net.request.mapping");
         assert_eq!(request_hist_name("explain"), "net.request.explain");
         assert_eq!(request_hist_name("profile spans 3"), "net.request.profile");
         assert_eq!(request_hist_name(""), "net.request.noop");

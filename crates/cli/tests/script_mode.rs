@@ -53,7 +53,7 @@ fn synthetic_source_via_binary() {
         "source\ncorr R0.p0 -> B0\ntarget\nquit\n",
         &["--synthetic", "chain,3,20"],
     );
-    assert!(out.contains("R0(id: str not null"));
+    assert!(out.contains("R0 (id str not null"));
     assert!(out.contains("T.B0"));
 }
 

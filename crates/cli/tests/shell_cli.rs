@@ -1032,14 +1032,14 @@ fn quoted_target_survives_db_save_and_both_reopen_routes() {
     let _ = std::fs::remove_dir_all(&p2);
     let target = "\"Kid s\" (\"ID col\" str not null, name str)";
     let shown = format!("MAP {target}\n");
-    let map_show = "corr Children.ID -> \"ID col\"\nmap show\n";
+    let mapping = "corr Children.ID -> \"ID col\"\nmapping\n";
     // save from a session over p1, reopen in-process with `db load`
     let p2s = p2.display();
-    let commands = format!("db save {p2s}\ndb load {p2s}\n{map_show}");
+    let commands = format!("db save {p2s}\ndb load {p2s}\n{mapping}");
     let out = run_commands(
         "quoted_save.clio",
         &commands,
-        &["--db-dir", p1.to_str().unwrap(), "--target", target],
+        &["--source", p1.to_str().unwrap(), "--target", target],
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains(&format!("loaded {p2s} ")), "{stdout}");
@@ -1047,8 +1047,8 @@ fn quoted_target_survives_db_save_and_both_reopen_routes() {
     // ... and at startup, where `_target.txt` alone names the target
     let out = run_commands(
         "quoted_reopen.clio",
-        map_show,
-        &["--db-dir", p2.to_str().unwrap()],
+        mapping,
+        &["--source", p2.to_str().unwrap()],
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success() && stdout.contains(&shown), "{out:?}");
@@ -1058,20 +1058,13 @@ fn quoted_target_survives_db_save_and_both_reopen_routes() {
 
 #[test]
 fn quoted_target_attributes_are_read_as_identifiers() {
-    let dir = save_paper_db("quoted_attr_db");
     let commands = "corr Children.ID -> \"ID col\"\nrequire \"ID col\"\n\
-                    corr Children.name -> name\nmap show\ncorr Children.ID -> ID col\n";
+                    corr Children.name -> name\nmapping\ncorr Children.ID -> ID col\n";
     let out = run_commands(
         "quoted_attr.clio",
         commands,
-        &[
-            "--db-dir",
-            dir.to_str().unwrap(),
-            "--target",
-            "\"Kid Info\" (\"ID col\" str, name str)",
-        ],
+        &["--target", "\"Kid Info\" (\"ID col\" str, name str)"],
     );
-    std::fs::remove_dir_all(&dir).ok();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{out:?}");
     for line in [
@@ -1086,6 +1079,194 @@ fn quoted_target_attributes_are_read_as_identifiers() {
         stdout.contains("error: bad attribute `ID col`: "),
         "{stdout}"
     );
+}
+
+#[test]
+fn target_flag_replaces_the_paper_and_synthetic_targets() {
+    for source in [&[][..], &["--synthetic", "chain,2,5"]] {
+        let mut flags = source.to_vec();
+        flags.extend(["--target", "Zzz (q int)"]);
+        let out = run_commands("zzz.clio", "target\n", &flags);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{out:?}");
+        assert!(stdout.contains("| Zzz.q |"), "{source:?}: {stdout}");
+        assert!(
+            !stdout.contains("Kids") && !stdout.contains("T.B0"),
+            "{stdout}"
+        );
+    }
+    let out = shell()
+        .args(["--target", "Zzz (end int)"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("bad --target: parse error at line 1, column 6"),
+        "{stderr}"
+    );
+}
+
+/// The paper database exported as a CSV directory beside its
+/// `_target.txt` (the Kids target).
+fn paper_csv_dir(name: &str) -> PathBuf {
+    let dir = tmp_path(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    clio_relational::csv::write_database(&clio_datagen::paper::paper_database(), &dir)
+        .expect("export");
+    let target = clio_datagen::paper::kids_target();
+    std::fs::write(dir.join("_target.txt"), format!("{target}\n")).expect("target written");
+    dir
+}
+
+#[test]
+fn demo_over_a_source_directory_of_either_layout_matches_the_in_memory_run() {
+    let demo = |flags: &[&str]| {
+        let out = shell()
+            .args(flags)
+            .arg("--script")
+            .arg(demo_script())
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let in_memory = demo(&[]);
+    let csv = paper_csv_dir("demo_csv");
+    let paged = tmp_path("demo_paged");
+    let _ = std::fs::remove_dir_all(&paged);
+    let save = format!("db save {}\n", paged.display());
+    let out = run_commands(
+        "demo_save.clio",
+        &save,
+        &["--source", csv.to_str().unwrap()],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let over_csv = demo(&["--source", csv.to_str().unwrap()]);
+    let over_paged = demo(&["--source", paged.to_str().unwrap(), "--db-pool", "2"]);
+    // `--db-pool` sizes a paged pool; for CSV files it is a usage error
+    let out = shell()
+        .args(["--source", csv.to_str().unwrap(), "--db-pool", "2"])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_dir_all(&csv).ok();
+    std::fs::remove_dir_all(&paged).ok();
+    assert_eq!(over_csv, in_memory, "CSV directory");
+    assert_eq!(over_paged, in_memory, "paged directory");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("--db-pool requires a paged --source directory"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn source_without_a_target_needs_a_target_file() {
+    let dir = paper_csv_dir("no_target");
+    std::fs::remove_file(dir.join("_target.txt")).expect("target removed");
+    let out = shell()
+        .args(["--source", dir.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("cannot read `"), "{stderr}");
+    assert!(stderr.contains("_target.txt`"), "{stderr}");
+}
+
+#[test]
+fn quoted_source_names_reopen_through_source_in_both_layouts() {
+    use clio_relational::constraints::{ForeignKey, Key};
+    use clio_relational::relation::Relation;
+    use clio_relational::schema::{Attribute, RelSchema};
+    use clio_relational::value::DataType;
+    // the paper database plus `Kid s` ("ID col", name), a copy of Children
+    let mut db = clio_datagen::paper::paper_database();
+    let children = db.relation("Children").expect("paper relation");
+    let schema = RelSchema::new(
+        "Kid s",
+        vec![
+            Attribute::not_null("ID col", DataType::Str),
+            Attribute::new("name", DataType::Str),
+        ],
+    )
+    .expect("schema");
+    let rows = children.rows().iter().map(|r| r[..2].to_vec()).collect();
+    db.add_relation(Relation::with_rows(schema, rows).expect("rows"))
+        .expect("added");
+    db.constraints.keys.push(Key::new("Kid s", vec!["ID col"]));
+    db.constraints
+        .foreign_keys
+        .push(ForeignKey::simple("Kid s", "ID col", "Children", "ID"));
+    let csv = tmp_path("quoted_csv");
+    let paged = tmp_path("quoted_paged");
+    let _ = std::fs::remove_dir_all(&csv);
+    let _ = std::fs::remove_dir_all(&paged);
+    clio_relational::csv::write_database(&db, &csv).expect("export");
+    std::fs::write(csv.join("_target.txt"), "T (\"ID col\" str, name str)\n").expect("target");
+    let commands = "source\ncorr \"Kid s\".\"ID col\" -> \"ID col\"\ntarget\n";
+    let save = format!("{commands}db save {}\n", paged.display());
+    let over_csv = run_commands(
+        "quoted_csv.clio",
+        &save,
+        &["--source", csv.to_str().unwrap()],
+    );
+    let over_paged = run_commands(
+        "quoted_paged.clio",
+        commands,
+        &["--source", paged.to_str().unwrap()],
+    );
+    std::fs::remove_dir_all(&csv).ok();
+    std::fs::remove_dir_all(&paged).ok();
+    assert!(over_csv.status.success(), "{over_csv:?}");
+    assert!(over_paged.status.success(), "{over_paged:?}");
+    let csv_out = String::from_utf8_lossy(&over_csv.stdout);
+    let paged_out = String::from_utf8_lossy(&over_paged.stdout);
+    for out in [&csv_out, &paged_out] {
+        assert!(
+            out.contains("\"Kid s\" (\"ID col\" str not null, name str) (4 rows)"),
+            "{out}"
+        );
+        assert!(out.contains("| T.ID col |"), "{out}");
+        assert!(!out.contains("error:"), "{out}");
+    }
+    // the paged run prints what the CSV run printed, up to the save line
+    let upto_save = &csv_out[..csv_out.find("clio> db save").expect("save echoed")];
+    assert_eq!(upto_save, paged_out, "layouts disagree");
+}
+
+#[test]
+fn a_csv_relation_named_index_opens_through_source_and_db_load() {
+    use clio_relational::relation::RelationBuilder;
+    use clio_relational::value::{DataType, Value};
+    // `_index.csv` is an ordinary CSV file; only `_index.clh` is reserved
+    let dir = paper_csv_dir("index_named_csv");
+    let mut db = clio_datagen::paper::paper_database();
+    let index = RelationBuilder::new("_index")
+        .attr("a", DataType::Str)
+        .row(vec![Value::from("x")])
+        .build()
+        .expect("relation");
+    db.add_relation(index).expect("added");
+    clio_relational::csv::write_database(&db, &dir).expect("export");
+    let commands = format!(
+        "db load {}
+source
+",
+        dir.display()
+    );
+    let out = run_commands(
+        "index_named.clio",
+        &commands,
+        &["--source", dir.to_str().unwrap()],
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout.contains("_index (a str) (1 rows)"), "{stdout}");
+    assert!(!stdout.contains("error:"), "{stdout}");
 }
 
 #[test]
@@ -1113,7 +1294,7 @@ fn pooled_sessions_load_the_stored_index_like_a_single_session() {
     let mut runs = Vec::new();
     for mode in [&["--script"][..], &["--sessions", "1"]] {
         let mut cmd = shell();
-        cmd.arg("--db-dir").arg(&dir).arg("--trace-out").arg(&trace);
+        cmd.arg("--source").arg(&dir).arg("--trace-out").arg(&trace);
         cmd.arg("--metrics").arg(&metrics).args(mode).arg(&script);
         let out = cmd.output().expect("binary runs");
         assert!(out.status.success(), "{out:?}");

@@ -18,8 +18,6 @@
 //! evaluated by the plan executor ([`crate::plan`]) over the
 //! materialized full disjunction.
 
-use std::fmt;
-
 use clio_incr::EvalCache;
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
@@ -312,23 +310,6 @@ impl Mapping {
     }
 }
 
-impl fmt::Display for Mapping {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "mapping -> {}", self.target.name())?;
-        write!(f, "{}", self.graph)?;
-        for v in &self.correspondences {
-            writeln!(f, "corr {v}")?;
-        }
-        for e in &self.source_filters {
-            writeln!(f, "where (source) {e}")?;
-        }
-        for e in &self.target_filters {
-            writeln!(f, "where (target) {e}")?;
-        }
-        Ok(())
-    }
-}
-
 /// A mapping with every expression bound against its schemes, ready for
 /// repeated evaluation over association rows.
 pub struct MappingEvaluator {
@@ -591,14 +572,5 @@ mod tests {
         assert!(m.validate(&db(), &funcs()).is_err());
         let m = mapping().with_target_filter(parse_expr("Kids.BusSchedule IS NULL").unwrap());
         assert!(m.validate(&db(), &funcs()).is_err());
-    }
-
-    #[test]
-    fn display_mentions_all_components() {
-        let s = mapping().to_string();
-        assert!(s.contains("mapping -> Kids"));
-        assert!(s.contains("corr Children.ID -> ID"));
-        assert!(s.contains("where (source) Children.age < 7"));
-        assert!(s.contains("where (target) Kids.ID IS NOT NULL"));
     }
 }

@@ -21,10 +21,12 @@
 //!   [`parse_map`] does both.
 //! * [`print_mapping`] renders a mapping back as canonical statement
 //!   text; `parse_map(&print_mapping(&m)) == m` for every mapping.
-//! * [`parse_target_schema`] / [`print_target_schema`] are the one
-//!   parser/printer pair for the target-schema declaration
-//!   `Name (attr type [not null], ...)`: the `MAP` clause, the CLI's
-//!   `--target` flag and a paged database's `_target.txt` all use it.
+//! * The `MAP` clause's target schema is a relation declaration
+//!   `Name (attr type [not null], ...)` in the one grammar every schema
+//!   is written in: [`clio_relational::parser::parse_declaration`]
+//!   reads it, and
+//!   [`RelSchema::declaration`](clio_relational::schema::RelSchema::declaration)
+//!   prints it, quoted through [`lang_ident`].
 //! * Errors carry 1-based line/column positions into the statement
 //!   text, including errors inside embedded expressions (relocated from
 //!   the expression parser) and lowering errors like an unknown `JOIN`
@@ -40,8 +42,6 @@ mod token;
 
 pub mod parser;
 pub mod printer;
-pub mod schema;
 
 pub use parser::{parse_map, parse_statement, JoinDecl, MapStmt, NodeDecl, SelectItem, Spanned};
 pub use printer::{lang_ident, print_mapping};
-pub use schema::{parse_target_schema, print_target_schema};

@@ -13,11 +13,12 @@
 //! node      := relation [AS alias] [CODE code]
 //! ```
 //!
-//! `<target-schema>` is the `Name (attr type [not null], ...)`
-//! declaration of [`crate::schema`], and `<expr>` is the relational
-//! expression language. Expression fragments are delegated to
-//! [`clio_relational::parser::parse_expr`]; their errors are relocated
-//! so line/column always refer to the original statement text.
+//! `<target-schema>` is the relation declaration
+//! `Name (attr type [not null], ...)` and `<expr>` is the relational
+//! expression language. Both are delegated to `clio_relational`'s
+//! parsers ([`parse_declaration`], [`parse_expr`]) on the clause's text;
+//! their errors are relocated so line/column always refer to the
+//! original statement text.
 //!
 //! Identifiers follow the expression lexer's quoting rules, so a
 //! relation, alias, code or attribute whose name collides with a clause
@@ -29,10 +30,9 @@
 use clio_core::prelude::{Mapping, Node, QueryGraph, ValueCorrespondence};
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
-use clio_relational::parser::parse_expr;
+use clio_relational::parser::{parse_declaration, parse_expr};
 use clio_relational::schema::RelSchema;
 
-use crate::schema::schema_from_tokens;
 use crate::token::{tokenize, TokKind, Token};
 
 /// An identifier with its source position, kept through lowering so
@@ -140,7 +140,7 @@ fn clause_start(toks: &[Token], i: usize) -> Option<Clause> {
     Some(c)
 }
 
-pub(crate) fn err_at(t: &Token, message: impl Into<String>) -> Error {
+fn err_at(t: &Token, message: impl Into<String>) -> Error {
     Error::Parse {
         pos: t.cpos,
         line: t.line,
@@ -161,7 +161,7 @@ fn err_at_span(s: &Spanned, message: impl Into<String>) -> Error {
 }
 
 /// An identifier token (bare word or quoted), as a [`Spanned`].
-pub(crate) fn ident(t: &Token, what: &str) -> Result<Spanned> {
+fn ident(t: &Token, what: &str) -> Result<Spanned> {
     match t.kind {
         TokKind::Word | TokKind::Quoted => Ok(Spanned {
             text: t.text.clone(),
@@ -173,12 +173,13 @@ pub(crate) fn ident(t: &Token, what: &str) -> Result<Spanned> {
     }
 }
 
-/// Parse the raw text under `body` (a contiguous token run) as a
-/// relational expression, relocating any error onto the statement.
-fn sub_expr(input: &str, body: &[Token]) -> Result<Expr> {
+/// Parse the raw text under `body` (a contiguous, non-empty token run)
+/// with one of `clio_relational`'s parsers, relocating any error onto
+/// the statement.
+fn sub_parse<T>(input: &str, body: &[Token], parse: fn(&str) -> Result<T>) -> Result<T> {
     let first = &body[0];
     let frag = &input[first.start..body[body.len() - 1].end];
-    parse_expr(frag).map_err(|e| match e {
+    parse(frag).map_err(|e| match e {
         Error::Parse {
             pos,
             line,
@@ -272,7 +273,7 @@ fn parse_join(input: &str, body: &[Token], kw: &Token) -> Result<JoinDecl> {
     if !body[3].is_word("ON") {
         return Err(err_at(&body[3], usage));
     }
-    let predicate = sub_expr(input, &body[4..])?;
+    let predicate = sub_parse(input, &body[4..], parse_expr)?;
     Ok(JoinDecl { a, b, predicate })
 }
 
@@ -292,7 +293,7 @@ fn parse_where(input: &str, body: &[Token], kw: &Token) -> Result<(bool, Expr)> 
     if body.len() < 2 {
         return Err(err_at(first, usage));
     }
-    Ok((on_source, sub_expr(input, &body[1..])?))
+    Ok((on_source, sub_parse(input, &body[1..], parse_expr)?))
 }
 
 fn parse_select(input: &str, body: &[Token], kw: &Token) -> Result<Vec<SelectItem>> {
@@ -329,7 +330,7 @@ fn parse_select(input: &str, body: &[Token], kw: &Token) -> Result<Vec<SelectIte
                 ))
             }
         };
-        let expr = sub_expr(input, &group[..as_idx])?;
+        let expr = sub_parse(input, &group[..as_idx], parse_expr)?;
         items.push(SelectItem { expr, attr });
     }
     Ok(items)
@@ -374,7 +375,7 @@ pub fn parse_statement(input: &str) -> Result<MapStmt> {
                 if body.is_empty() {
                     return Err(err_at(kw, "MAP clause needs a target schema"));
                 }
-                target = Some(schema_from_tokens(body, kw)?);
+                target = Some(sub_parse(input, body, parse_declaration)?);
             }
             Clause::From => {
                 if nodes.is_some() {
@@ -485,8 +486,8 @@ mod tests {
 
     /// The cyclic Kids mapping that the planner gate of
     /// `scripts/verify.sh` loads: `parse_map` of the checked-in file is
-    /// the mapping built by hand, so the gate's `load`/`map load` runs
-    /// evaluate exactly this mapping.
+    /// the mapping built by hand, so the gate's `load` runs evaluate
+    /// exactly this mapping.
     #[test]
     fn verify_gate_map_file_is_the_hand_built_cycle() {
         let text = include_str!("../../../examples/scripts/kids_cycle.map");
@@ -608,6 +609,12 @@ mod tests {
             let err = parse_map(text).unwrap_err().to_string();
             assert!(err.contains(needle), "for {text:?}: got {err}");
         }
+        // the target schema's errors are relocated onto the statement
+        let err = parse_map("MAP Kids\n  (ID col str)")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("line 2, column 7"), "{err}");
+        assert!(err.contains("unknown type `col`"), "{err}");
         // positions on a structural error
         let err = parse_map("MAP T (a int)\nFROM R\nJOIN R, S ON R.x = S.x")
             .unwrap_err()

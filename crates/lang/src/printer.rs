@@ -9,8 +9,6 @@
 use clio_core::prelude::{Mapping, Node};
 use clio_relational::schema::{format_ident, ident_needs_quoting};
 
-use crate::schema::print_target_schema;
-
 /// The language's keywords, quoted by [`lang_ident`] in addition to the
 /// expression language's own.
 const KEYWORDS: [&str; 10] = [
@@ -33,7 +31,7 @@ pub fn lang_ident(name: &str) -> String {
 /// `SELECT` order.
 #[must_use]
 pub fn print_mapping(m: &Mapping) -> String {
-    let mut out = format!("MAP {}\n", print_target_schema(&m.target));
+    let mut out = format!("MAP {}\n", m.target.declaration(lang_ident));
     if m.graph.node_count() > 0 {
         let items: Vec<String> = m.graph.nodes().iter().map(node_item).collect();
         out.push_str(&format!("FROM {}\n", items.join(", ")));

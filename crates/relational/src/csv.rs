@@ -1,22 +1,26 @@
 //! CSV import/export for databases.
 //!
 //! A database serializes to a directory: one `<Relation>.csv` per
-//! relation plus a `_schema.txt` manifest declaring attribute types,
-//! `NOT NULL` markers, keys, and foreign keys. This is how real source
-//! data gets into a mapping session (`clio-shell --source <dir>`).
+//! relation plus a `_schema.txt` manifest of `relation` declarations
+//! (attribute types and `not null` markers, in the one declaration
+//! grammar of [`crate::parser::parse_declaration`]), keys, and foreign
+//! keys. This is how real source data gets into a mapping session
+//! (`clio-shell --source <dir>`).
 //!
 //! CSV conventions: RFC-4180-style quoting (`"` doubled inside quoted
-//! fields); an *unquoted empty* field is SQL null, a *quoted empty*
-//! field (`""`) is the empty string.
+//! fields), the header row included; an *unquoted empty* field is SQL
+//! null, a *quoted empty* field (`""`) is the empty string.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use crate::constraints::{ForeignKey, Key};
+use crate::constraints::Constraints;
 use crate::database::Database;
 use crate::error::{Error, Result};
+use crate::parser::parse_schema_manifest;
 use crate::relation::Relation;
-use crate::schema::{Attribute, RelSchema};
+use crate::schema::{format_ident, RelSchema};
+use crate::storage::INDEX_FILE;
 use crate::value::{DataType, Value};
 
 /// Render one CSV field.
@@ -41,16 +45,10 @@ fn write_field(out: &mut String, v: &Value) {
 /// Serialize a relation to CSV text (header row = attribute names).
 #[must_use]
 pub fn relation_to_csv(rel: &Relation) -> String {
+    let attrs = rel.schema().attrs().iter();
+    let header: Vec<Value> = attrs.map(|a| Value::Str(a.name.clone())).collect();
     let mut out = String::new();
-    let names: Vec<&str> = rel
-        .schema()
-        .attrs()
-        .iter()
-        .map(|a| a.name.as_str())
-        .collect();
-    out.push_str(&names.join(","));
-    out.push('\n');
-    for row in rel.rows() {
+    for row in std::iter::once(&header).chain(rel.rows()) {
         for (i, v) in row.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -181,7 +179,12 @@ pub fn relation_from_csv(schema: RelSchema, text: &str) -> Result<Relation> {
         .next()
         .ok_or_else(|| Error::Invalid("empty CSV: missing header".into()))?;
     let expected: Vec<&str> = schema.attrs().iter().map(|a| a.name.as_str()).collect();
-    let got: Vec<&str> = header.split(',').collect();
+    let got: Vec<String> = if header.is_empty() {
+        Vec::new()
+    } else {
+        let fields = parse_record(header)?;
+        fields.into_iter().map(Option::unwrap_or_default).collect()
+    };
     if got != expected {
         return Err(Error::Invalid(format!(
             "CSV header {got:?} does not match schema attributes {expected:?}"
@@ -209,157 +212,80 @@ pub fn relation_from_csv(schema: RelSchema, text: &str) -> Result<Relation> {
     Ok(rel)
 }
 
-/// The `_schema.txt` manifest for a database.
+/// File name of the schema manifest inside a database directory.
+pub const MANIFEST_FILE: &str = "_schema.txt";
+
+/// The `_schema.txt` manifest for a database: one `relation`
+/// declaration per relation (`RelSchema`'s `Display`), then its `key`
+/// and `fk` directives, every name quoted by the expression lexer's
+/// rules. [`crate::parser::parse_schema_manifest`] reads it back.
 #[must_use]
 pub fn schema_manifest(db: &Database) -> String {
+    let list = |relation: &str, names: &[String]| -> String {
+        let quoted: Vec<String> = names.iter().map(|n| format_ident(n)).collect();
+        format!("{} ({})", format_ident(relation), quoted.join(", "))
+    };
     let mut out = String::new();
     for rel in db.relations() {
-        let _ = write!(out, "relation {} (", rel.name());
-        for (i, a) in rel.schema().attrs().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{} {}", a.name, a.ty);
-            if a.not_null {
-                out.push_str(" not null");
-            }
-        }
-        out.push_str(")\n");
+        let _ = writeln!(out, "relation {}", rel.schema());
     }
     for k in &db.constraints.keys {
-        let _ = writeln!(out, "key {} ({})", k.relation, k.attrs.join(", "));
+        let _ = writeln!(out, "key {}", list(&k.relation, &k.attrs));
     }
     for fk in &db.constraints.foreign_keys {
+        let (from, to) = (&fk.from_relation, &fk.to_relation);
         let _ = writeln!(
             out,
-            "fk {} ({}) -> {} ({})",
-            fk.from_relation,
-            fk.from_attrs.join(", "),
-            fk.to_relation,
-            fk.to_attrs.join(", ")
+            "fk {} -> {}",
+            list(from, &fk.from_attrs),
+            list(to, &fk.to_attrs)
         );
     }
     out
 }
 
-fn parse_type(s: &str) -> Result<DataType> {
-    match s {
-        "int" => Ok(DataType::Int),
-        "float" => Ok(DataType::Float),
-        "str" => Ok(DataType::Str),
-        "bool" => Ok(DataType::Bool),
-        other => Err(Error::Invalid(format!(
-            "unknown type `{other}` in schema manifest"
-        ))),
-    }
+/// Read and parse the manifest of the database directory `dir`.
+pub(crate) fn read_manifest(dir: &Path) -> Result<(Vec<RelSchema>, Constraints)> {
+    let path = dir.join(MANIFEST_FILE);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| Error::Invalid(format!("cannot read `{}`: {e}", path.display())))?;
+    parse_schema_manifest(&text).map_err(|e| Error::Invalid(format!("`{}`: {e}", path.display())))
 }
 
-fn parse_name_list(s: &str) -> Vec<String> {
-    s.split(',')
-        .map(|x| x.trim().to_owned())
-        .filter(|x| !x.is_empty())
-        .collect()
-}
-
-/// Parse a `_schema.txt` manifest into schemas + constraints (relations
-/// come back empty; data loads from the CSVs).
-pub fn parse_manifest(text: &str) -> Result<(Vec<RelSchema>, Vec<Key>, Vec<ForeignKey>)> {
-    let mut schemas = Vec::new();
-    let mut keys = Vec::new();
-    let mut fks = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err =
-            |msg: String| Error::Invalid(format!("schema manifest line {}: {msg}", lineno + 1));
-        if let Some(rest) = line.strip_prefix("relation ") {
-            let (name, attrs_part) = rest
-                .split_once('(')
-                .ok_or_else(|| err("relation line needs `(attrs)`".into()))?;
-            let attrs_part = attrs_part
-                .strip_suffix(')')
-                .ok_or_else(|| err("relation line missing `)`".into()))?;
-            let mut attrs = Vec::new();
-            for spec in attrs_part.split(',') {
-                let spec = spec.trim();
-                if spec.is_empty() {
-                    continue;
-                }
-                let mut words = spec.split_whitespace();
-                let aname = words
-                    .next()
-                    .ok_or_else(|| err("empty attribute spec".into()))?;
-                let ty = parse_type(
-                    words
-                        .next()
-                        .ok_or_else(|| err(format!("attribute `{aname}` missing type")))?,
-                )?;
-                let rest: Vec<&str> = words.collect();
-                let not_null = rest == ["not", "null"];
-                if !not_null && !rest.is_empty() {
-                    return Err(err(format!("unexpected modifier `{}`", rest.join(" "))));
-                }
-                attrs.push(if not_null {
-                    Attribute::not_null(aname, ty)
-                } else {
-                    Attribute::new(aname, ty)
-                });
-            }
-            schemas.push(RelSchema::new(name.trim(), attrs)?);
-        } else if let Some(rest) = line.strip_prefix("key ") {
-            let (rel, attrs) = rest
-                .split_once('(')
-                .ok_or_else(|| err("key line needs `(attrs)`".into()))?;
-            let attrs = attrs
-                .strip_suffix(')')
-                .ok_or_else(|| err("key line missing `)`".into()))?;
-            keys.push(Key {
-                relation: rel.trim().to_owned(),
-                attrs: parse_name_list(attrs),
-            });
-        } else if let Some(rest) = line.strip_prefix("fk ") {
-            let (from, to) = rest
-                .split_once("->")
-                .ok_or_else(|| err("fk line needs `->`".into()))?;
-            let parse_side = |side: &str| -> Result<(String, Vec<String>)> {
-                let (rel, attrs) = side
-                    .split_once('(')
-                    .ok_or_else(|| err("fk side needs `(attrs)`".into()))?;
-                let attrs = attrs
-                    .trim()
-                    .strip_suffix(')')
-                    .ok_or_else(|| err("fk side missing `)`".into()))?;
-                Ok((rel.trim().to_owned(), parse_name_list(attrs)))
-            };
-            let (from_relation, from_attrs) = parse_side(from)?;
-            let (to_relation, to_attrs) = parse_side(to)?;
-            fks.push(ForeignKey {
-                from_relation,
-                from_attrs,
-                to_relation,
-                to_attrs,
-            });
-        } else {
-            return Err(err(format!("unknown directive in `{line}`")));
-        }
+/// The file `<relation>.<ext>` of a relation inside the database
+/// directory `dir` — the one place a relation name becomes a path, for
+/// reading and writing alike. A name that is not one plain path
+/// component, or whose file the layout reserves (`_index` in a paged
+/// directory), is an [`Error::BadRelationFile`]: it could otherwise
+/// read or write outside `dir`, or overwrite the value index.
+pub(crate) fn relation_file(dir: &Path, relation: &str, ext: &str) -> Result<PathBuf> {
+    let bad = |reason: &str| Error::BadRelationFile {
+        relation: relation.to_owned(),
+        reason: reason.to_owned(),
+    };
+    if matches!(relation, "." | "..") || relation.contains(['/', '\\', '\0']) {
+        return Err(bad("the name is not a plain file name"));
     }
-    Ok((schemas, keys, fks))
+    let file = format!("{relation}.{ext}");
+    if file == INDEX_FILE {
+        return Err(bad("its file is reserved for the value index"));
+    }
+    Ok(dir.join(file))
 }
 
 /// Write a database to `dir` (created if missing): `_schema.txt` plus one
-/// CSV per relation.
+/// CSV per relation. Every relation name is checked before anything is
+/// written.
 pub fn write_database(db: &Database, dir: &Path) -> Result<()> {
     let io_err = |e: std::io::Error| Error::Invalid(format!("csv export: {e}"));
+    let files: Vec<PathBuf> = db
+        .relations()
+        .map(|rel| relation_file(dir, rel.name(), "csv"))
+        .collect::<Result<_>>()?;
     std::fs::create_dir_all(dir).map_err(io_err)?;
-    std::fs::write(dir.join("_schema.txt"), schema_manifest(db)).map_err(io_err)?;
-    for rel in db.relations() {
-        std::fs::write(
-            dir.join(format!("{}.csv", rel.name())),
-            relation_to_csv(rel),
-        )
-        .map_err(io_err)?;
+    std::fs::write(dir.join(MANIFEST_FILE), schema_manifest(db)).map_err(io_err)?;
+    for (rel, file) in db.relations().zip(files) {
+        std::fs::write(file, relation_to_csv(rel)).map_err(io_err)?;
     }
     Ok(())
 }
@@ -368,16 +294,14 @@ pub fn write_database(db: &Database, dir: &Path) -> Result<()> {
 /// hand-authored in the same layout).
 pub fn read_database(dir: &Path) -> Result<Database> {
     let io_err = |e: std::io::Error| Error::Invalid(format!("csv import: {e}"));
-    let manifest = std::fs::read_to_string(dir.join("_schema.txt")).map_err(io_err)?;
-    let (schemas, keys, fks) = parse_manifest(&manifest)?;
+    let (schemas, constraints) = read_manifest(dir)?;
     let mut db = Database::new();
     for schema in schemas {
-        let name = schema.name().to_owned();
-        let csv = std::fs::read_to_string(dir.join(format!("{name}.csv"))).map_err(io_err)?;
+        let file = relation_file(dir, schema.name(), "csv")?;
+        let csv = std::fs::read_to_string(file).map_err(io_err)?;
         db.add_relation(relation_from_csv(schema, &csv)?)?;
     }
-    db.constraints.keys = keys;
-    db.constraints.foreign_keys = fks;
+    db.constraints = constraints;
     db.check_constraints()?;
     Ok(db)
 }
@@ -385,7 +309,9 @@ pub fn read_database(dir: &Path) -> Result<Database> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraints::{ForeignKey, Key};
     use crate::relation::RelationBuilder;
+    use crate::schema::Attribute;
 
     fn tricky_relation() -> Relation {
         RelationBuilder::new("Tricky")
@@ -493,11 +419,53 @@ mod tests {
         db.add_relation(tricky_relation()).unwrap();
         db.constraints.keys.push(Key::new("Tricky", vec!["id"]));
         let manifest = schema_manifest(&db);
-        let (schemas, keys, fks) = parse_manifest(&manifest).unwrap();
+        let (schemas, constraints) = parse_schema_manifest(&manifest).unwrap();
         assert_eq!(schemas.len(), 1);
         assert_eq!(schemas[0], *db.relation("Tricky").unwrap().schema());
-        assert_eq!(keys.len(), 1);
-        assert!(fks.is_empty());
+        assert_eq!(constraints, db.constraints);
+    }
+
+    /// A database whose names need quoting: a space, a keyword, an
+    /// embedded quote.
+    fn quoted_db() -> Database {
+        let mut db = Database::new();
+        for (name, attr) in [("Kid s", "ID col"), ("end", "say \"hi\"")] {
+            let rel = RelationBuilder::new(name)
+                .attr_not_null(attr, DataType::Str)
+                .row(vec!["1".into()])
+                .build()
+                .unwrap();
+            db.add_relation(rel).unwrap();
+        }
+        db.constraints.keys.push(Key::new("Kid s", vec!["ID col"]));
+        db.constraints.foreign_keys.push(ForeignKey::simple(
+            "end",
+            "say \"hi\"",
+            "Kid s",
+            "ID col",
+        ));
+        db
+    }
+
+    #[test]
+    fn manifest_quotes_names_like_the_expression_lexer() {
+        let db = quoted_db();
+        let manifest = schema_manifest(&db);
+        assert_eq!(
+            manifest,
+            "relation \"Kid s\" (\"ID col\" str not null)\n\
+             relation \"end\" (\"say \"\"hi\"\"\" str not null)\n\
+             key \"Kid s\" (\"ID col\")\n\
+             fk \"end\" (\"say \"\"hi\"\"\") -> \"Kid s\" (\"ID col\")\n"
+        );
+        let (schemas, constraints) = parse_schema_manifest(&manifest).unwrap();
+        let expected: Vec<RelSchema> = db.relations().map(|r| r.schema().clone()).collect();
+        assert_eq!(schemas, expected);
+        assert_eq!(constraints, db.constraints);
+        let dir = std::env::temp_dir().join(format!("clio_csv_quoted_{}", std::process::id()));
+        write_database(&db, &dir).unwrap();
+        assert_eq!(read_database(&dir).unwrap(), db);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -545,11 +513,62 @@ mod tests {
 
     #[test]
     fn manifest_parse_errors_are_located() {
-        assert!(parse_manifest("relation R id int").is_err());
-        assert!(parse_manifest("relation R (id frobs)").is_err());
-        assert!(parse_manifest("nonsense").is_err());
-        assert!(parse_manifest("fk A (x) B (y)").is_err());
-        // comments and blanks are fine
-        parse_manifest("# comment\n\nrelation R (id int)\n").unwrap();
+        for (text, needle) in [
+            ("relation R id int", "source schema needs"),
+            ("relation (id int)", "expected a source relation name"),
+            ("relation R (id frobs)", "unknown type `frobs`"),
+            ("nonsense", "expected a `relation`, `key` or `fk` directive"),
+            ("fk A (x) B (y)", "expected `->`"),
+            ("key R (a b)", "expected `,`"),
+            (
+                "relation R (\"ID col\" str)\nrelation S (a)",
+                "line 2, column 13",
+            ),
+        ] {
+            let err = parse_schema_manifest(text).unwrap_err().to_string();
+            assert!(err.contains(needle), "for {text:?}: got {err}");
+        }
+        // blank lines and `#` comments are fine, and a quoted name may
+        // span lines and hold a `#`
+        parse_schema_manifest("# comment\n\nrelation R (id int)\n").unwrap();
+        let text = "# c\nrelation \"a\n# b\" (id int) # trailing \"\nkey \"a\n# b\" (id)\n";
+        let (schemas, constraints) = parse_schema_manifest(text).unwrap();
+        assert_eq!(schemas[0].name(), "a\n# b");
+        assert_eq!(constraints.keys[0].relation, "a\n# b");
+        // a comment leaves the positions of what follows unchanged
+        let err = parse_schema_manifest("# c\nrelation R (id frobs)").unwrap_err();
+        assert!(err.to_string().contains("line 2, column 16"), "{err}");
+    }
+
+    #[test]
+    fn relation_names_never_leave_the_directory() {
+        let dir = std::env::temp_dir().join(format!("clio_csv_escape_{}", std::process::id()));
+        for name in ["../evil", "a/b", "a\\b", ".", "..", "nul\0"] {
+            let err = relation_file(&dir, name, "csv").unwrap_err();
+            assert!(
+                matches!(err, Error::BadRelationFile { .. }),
+                "{name:?}: {err}"
+            );
+        }
+        assert!(relation_file(&dir, "_index", "clh").is_err());
+        assert!(relation_file(&dir, "_index", "csv").is_ok());
+        // an export writes nothing when one name is bad ...
+        let mut db = Database::new();
+        db.add_relation(tricky_relation()).unwrap();
+        let evil = RelationBuilder::new("../evil")
+            .attr("a", DataType::Str)
+            .build()
+            .unwrap();
+        db.add_relation(evil).unwrap();
+        let inner = dir.join("inner");
+        assert!(write_database(&db, &inner).is_err());
+        assert!(!dir.exists() && !dir.with_file_name("evil.csv").exists());
+        // ... and a manifest naming one fails to load
+        std::fs::create_dir_all(&inner).unwrap();
+        std::fs::write(dir.join("evil.csv"), "a\nx\n").unwrap();
+        std::fs::write(inner.join(MANIFEST_FILE), "relation \"../evil\" (a str)\n").unwrap();
+        let err = read_database(&inner).unwrap_err();
+        assert!(matches!(err, Error::BadRelationFile { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -442,7 +442,7 @@ mod tests {
             .foreign_keys
             .push(ForeignKey::simple("Children", "ID", "Parents", "ID"));
         let s = db.to_string();
-        assert!(s.contains("Children(ID: str not null)"));
+        assert!(s.contains("Children (ID str not null)"));
         assert!(s.contains("fk Children(ID) -> Parents(ID)"));
     }
 }

@@ -51,6 +51,9 @@ pub enum Error {
     },
     /// Division by zero (or modulo by zero) during evaluation.
     DivisionByZero,
+    /// A relation name cannot name its file in a database directory: it
+    /// is not one plain path component, or the layout reserves its file.
+    BadRelationFile { relation: String, reason: String },
     /// Anything else worth reporting with a message.
     Invalid(String),
 }
@@ -118,6 +121,12 @@ impl fmt::Display for Error {
                 Ok(())
             }
             Error::DivisionByZero => write!(f, "division by zero"),
+            Error::BadRelationFile { relation, reason } => {
+                write!(
+                    f,
+                    "relation `{relation}` cannot be stored in a directory: {reason}"
+                )
+            }
             Error::Invalid(m) => write!(f, "{m}"),
         }
     }

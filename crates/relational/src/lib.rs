@@ -76,7 +76,7 @@ pub mod prelude {
         group_by, join, minimum_union, minimum_union_all, outer_union, select, AggFunc, Aggregate,
         JoinKind, SubsumptionAlgo,
     };
-    pub use crate::parser::{parse_expr, parse_expr_list};
+    pub use crate::parser::{parse_declaration, parse_expr, parse_expr_list};
     pub use crate::relation::{Relation, RelationBuilder};
     pub use crate::schema::{Attribute, Column, ColumnRef, RelSchema, Scheme};
     pub use crate::simplify::simplify;

@@ -32,10 +32,13 @@
 //! the 1-based line/column of the offending token plus its text (see
 //! [`crate::error::Error::Parse`]).
 
+use std::ops::Range;
+
+use crate::constraints::{Constraints, ForeignKey, Key};
 use crate::error::{Error, Result};
 use crate::expr::{BinOp, Expr};
-use crate::schema::ColumnRef;
-use crate::value::Value;
+use crate::schema::{Attribute, ColumnRef, RelSchema};
+use crate::value::{DataType, Value};
 
 /// Parse a complete expression from text.
 ///
@@ -53,50 +56,26 @@ use crate::value::Value;
 /// assert!(err.to_string().contains("line 1, column 9"));
 /// ```
 pub fn parse_expr(input: &str) -> Result<Expr> {
-    let (tokens, end) = lex(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        end,
-    };
+    let mut p = Parser::new(input)?;
     let e = p.parse_or()?;
-    if let Some(tok) = p.peek() {
-        return Err(parse_error_at(
-            tok,
-            format!("unexpected trailing input `{}`", tok.kind.describe()),
-        ));
-    }
+    p.finish()?;
     Ok(e)
 }
 
 /// Parse a comma-separated list of expressions (filter lists).
 pub fn parse_expr_list(input: &str) -> Result<Vec<Expr>> {
-    let (tokens, end) = lex(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        end,
-    };
+    let mut p = Parser::new(input)?;
     let mut out = Vec::new();
     if p.peek().is_none() {
         return Ok(out);
     }
     loop {
         out.push(p.parse_or()?);
-        match p.peek() {
-            None => break,
-            Some(t) if t.kind == TokenKind::Comma => {
-                p.pos += 1;
-            }
-            Some(t) => {
-                return Err(parse_error_at(
-                    t,
-                    format!("expected `,`, found `{}`", t.kind.describe()),
-                ))
-            }
+        if p.peek().is_none() {
+            return Ok(out);
         }
+        p.expect(&TokenKind::Comma)?;
     }
-    Ok(out)
 }
 
 /// Parse one identifier — plain, or double-quoted with `""` escaping an
@@ -112,23 +91,94 @@ pub fn parse_expr_list(input: &str) -> Result<Vec<Expr>> {
 /// assert!(parse_ident("ID col").is_err());
 /// ```
 pub fn parse_ident(input: &str) -> Result<String> {
-    let (tokens, end) = lex(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        end,
-    };
-    let Some(TokenKind::Ident(name)) = p.peek().map(|t| t.kind.clone()) else {
-        return Err(p.err_here("expected an identifier"));
-    };
-    p.pos += 1;
-    if let Some(tok) = p.peek() {
-        return Err(parse_error_at(
-            tok,
-            format!("unexpected trailing input `{}`", tok.kind.describe()),
-        ));
-    }
+    let mut p = Parser::new(input)?;
+    let name = p.name("an identifier")?;
+    p.finish()?;
     Ok(name)
+}
+
+/// Parse one relation declaration `Name (attr type [not null], ...)` —
+/// the inverse of [`RelSchema`]'s `Display`. It is the one grammar for
+/// every relation schema written down: a `relation` line of a
+/// `_schema.txt` manifest, the CLI's `--target`, a `_target.txt`, and
+/// the head of a `MAP` statement. Names are identifiers by the lexer's
+/// rules (quote keywords and names with spaces); `not null` is
+/// case-insensitive, the types `int`, `float`, `str` and `bool` are not.
+///
+/// ```
+/// use clio_relational::parser::parse_declaration;
+///
+/// let kids = parse_declaration(r#"Kids ("ID col" str not null, age int)"#).unwrap();
+/// assert_eq!(kids.to_string(), r#"Kids ("ID col" str not null, age int)"#);
+/// let err = parse_declaration("Kids (ID col str)").unwrap_err();
+/// assert!(err.to_string().contains("line 1, column 10"));
+/// ```
+pub fn parse_declaration(input: &str) -> Result<RelSchema> {
+    let mut p = Parser::new(input)?;
+    let schema = p.declaration("target")?;
+    p.finish()?;
+    Ok(schema)
+}
+
+/// Parse a `_schema.txt` manifest — the inverse of
+/// [`crate::csv::schema_manifest`] — into relation schemas and
+/// constraints. It is a sequence of directives, conventionally one per
+/// line: `relation <declaration>`, `key R (a, b)` and
+/// `fk A (x) -> B (y)`, every name read as in [`parse_declaration`].
+/// A `#` outside a quoted name starts a comment that runs to the end of
+/// its line. Errors carry the line and column in the manifest.
+pub fn parse_schema_manifest(input: &str) -> Result<(Vec<RelSchema>, Constraints)> {
+    let mut p = Parser::new(&blank_comments(input))?;
+    let mut schemas = Vec::new();
+    let mut constraints = Constraints::none();
+    while p.peek().is_some() {
+        let directive = p.text_of(p.pos).to_ascii_lowercase();
+        p.pos += 1;
+        match directive.as_str() {
+            "relation" => schemas.push(p.declaration("source")?),
+            "key" => {
+                let (relation, attrs) = p.name_list()?;
+                constraints.keys.push(Key { relation, attrs });
+            }
+            "fk" => {
+                let (from_relation, from_attrs) = p.name_list()?;
+                if !(p.eat(&TokenKind::Minus) && p.eat(&TokenKind::Gt)) {
+                    return Err(p.err_here("expected `->` between the sides of a foreign key"));
+                }
+                let (to_relation, to_attrs) = p.name_list()?;
+                constraints.foreign_keys.push(ForeignKey {
+                    from_relation,
+                    from_attrs,
+                    to_relation,
+                    to_attrs,
+                });
+            }
+            _ => {
+                p.pos -= 1;
+                return Err(p.err_here("expected a `relation`, `key` or `fk` directive"));
+            }
+        }
+    }
+    Ok((schemas, constraints))
+}
+
+/// `input` with every `#` comment outside a quoted name or string
+/// turned into spaces, so the lexer reports the same line and column
+/// for what remains. A doubled quote (the `""`/`''` escape) closes and
+/// reopens the quote, which leaves it open as the lexer does.
+fn blank_comments(input: &str) -> String {
+    let (mut quote, mut comment) = (None, false);
+    let blank = |c: char| {
+        comment = (comment || quote.is_none() && c == '#') && c != '\n';
+        match quote {
+            _ if comment => return ' ',
+            Some(q) if c == q => quote = None,
+            None if c == '"' || c == '\'' => quote = Some(c),
+            _ => {}
+        }
+        c
+    };
+    input.chars().map(blank).collect()
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -269,8 +319,7 @@ fn keyword(word: &str) -> Option<TokenKind> {
     }
 }
 
-fn lex(input: &str) -> Result<(Vec<Token>, EndPos)> {
-    let bytes: Vec<char> = input.chars().collect();
+fn lex(bytes: &[char]) -> Result<(Vec<Token>, EndPos)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     let mut lline = 1usize; // 1-based line of position `i`
@@ -590,9 +639,165 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     end: EndPos,
+    /// The input, for the source text of a token.
+    src: Vec<char>,
 }
 
 impl Parser {
+    /// Lex `input` and stand before its first token.
+    fn new(input: &str) -> Result<Parser> {
+        let src: Vec<char> = input.chars().collect();
+        let (tokens, end) = lex(&src)?;
+        Ok(Parser {
+            tokens,
+            pos: 0,
+            end,
+            src,
+        })
+    }
+
+    /// Fail on the first token left unconsumed.
+    fn finish(&self) -> Result<()> {
+        match self.peek() {
+            Some(tok) => Err(parse_error_at(
+                tok,
+                format!("unexpected trailing input `{}`", tok.kind.describe()),
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The source text of token `i`, as written: from its first
+    /// character up to the next token, less the whitespace between.
+    fn text_of(&self, i: usize) -> String {
+        let start = self.tokens[i].pos;
+        let end = self.tokens.get(i + 1).map_or(self.src.len(), |t| t.pos);
+        let text: String = self.src[start..end].iter().collect();
+        text.trim_end().to_owned()
+    }
+
+    /// The next token as a name (a plain or quoted identifier).
+    fn name(&mut self, what: &str) -> Result<String> {
+        match self.peek().map(|t| t.kind.clone()) {
+            Some(TokenKind::Ident(name)) => {
+                self.pos += 1;
+                Ok(name)
+            }
+            Some(_) => {
+                Err(self.err_here(format!("expected {what}, got `{}`", self.text_of(self.pos))))
+            }
+            None => Err(self.err_here(format!("expected {what}"))),
+        }
+    }
+
+    /// `Name (attr type [not null], ...)`; see [`parse_declaration`].
+    /// `side` (`target` or `source`) names the schema in its errors.
+    fn declaration(&mut self, side: &str) -> Result<RelSchema> {
+        let usage = format!("{side} schema needs `Name (attr type [not null], ...)`");
+        let Some(name_tok) = self.peek().cloned() else {
+            return Err(self.err_here(usage));
+        };
+        let name = self.name(&format!("a {side} relation name"))?;
+        let open = match self.peek() {
+            Some(t) if t.kind == TokenKind::LParen => t.clone(),
+            t => return Err(parse_error_at(t.unwrap_or(&name_tok), usage)),
+        };
+        let body = self.pos + 1;
+        let Some(close) = self.tokens[body..]
+            .iter()
+            .position(|t| t.kind == TokenKind::RParen)
+            .map(|k| body + k)
+        else {
+            return Err(parse_error_at(
+                &open,
+                format!("{side} schema missing closing `)`"),
+            ));
+        };
+        let mut attrs = Vec::new();
+        let mut start = body;
+        for i in body..close {
+            if self.tokens[i].kind == TokenKind::Comma {
+                attrs.push(self.attribute(start..i, &open, side)?);
+                start = i + 1;
+            }
+        }
+        if close > body {
+            attrs.push(self.attribute(start..close, &open, side)?);
+        }
+        self.pos = close + 1;
+        RelSchema::new(name, attrs)
+    }
+
+    /// One `attr type [not null]` item, tokens `span` of a `side`
+    /// declaration whose `(` is `open`.
+    fn attribute(&self, span: Range<usize>, open: &Token, side: &str) -> Result<Attribute> {
+        let at = span.start;
+        let toks = &self.tokens[span.clone()];
+        let Some(first) = toks.first() else {
+            return Err(parse_error_at(
+                open,
+                format!("empty attribute in {side} schema"),
+            ));
+        };
+        let TokenKind::Ident(name) = &first.kind else {
+            let got = self.text_of(at);
+            return Err(parse_error_at(
+                first,
+                format!("expected an attribute name, got `{got}`"),
+            ));
+        };
+        let Some(ty) = toks.get(1) else {
+            return Err(parse_error_at(
+                first,
+                format!("attribute `{name}` missing type"),
+            ));
+        };
+        // a type is a bare word: `"str"` is a name, not a type
+        let bare = matches!(ty.kind, TokenKind::Ident(_)) && self.src[ty.pos] != '"';
+        let word = match &ty.kind {
+            TokenKind::Ident(word) => word.clone(),
+            _ => self.text_of(at + 1),
+        };
+        let ty = match word.as_str() {
+            "int" if bare => DataType::Int,
+            "float" if bare => DataType::Float,
+            "str" if bare => DataType::Str,
+            "bool" if bare => DataType::Bool,
+            _ => return Err(parse_error_at(ty, format!("unknown type `{word}`"))),
+        };
+        match &toks[2..] {
+            [] => Ok(Attribute::new(name.clone(), ty)),
+            [n, m] if n.kind == TokenKind::Not && m.kind == TokenKind::Null => {
+                Ok(Attribute::not_null(name.clone(), ty))
+            }
+            [first, ..] => {
+                let words: Vec<String> = (at + 2..span.end).map(|i| self.text_of(i)).collect();
+                Err(parse_error_at(
+                    first,
+                    format!("unexpected attribute modifier `{}`", words.join(" ")),
+                ))
+            }
+        }
+    }
+
+    /// `Name (a, b, ...)`: a relation and some of its attributes, as a
+    /// `_schema.txt` key or foreign-key side names them.
+    fn name_list(&mut self) -> Result<(String, Vec<String>)> {
+        let relation = self.name("a relation name")?;
+        self.expect(&TokenKind::LParen)?;
+        let mut attrs = Vec::new();
+        if !self.eat(&TokenKind::RParen) {
+            loop {
+                attrs.push(self.name("an attribute name")?);
+                if self.eat(&TokenKind::RParen) {
+                    break;
+                }
+                self.expect(&TokenKind::Comma)?;
+            }
+        }
+        Ok((relation, attrs))
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -1180,6 +1385,102 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("line 1, column 4"));
+    }
+
+    fn kids() -> RelSchema {
+        RelSchema::new(
+            "Kids",
+            vec![
+                Attribute::not_null("ID", DataType::Str),
+                Attribute::new("name", DataType::Str),
+                Attribute::new("FamilyIncome", DataType::Int),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn plain_declarations_parse_and_print() {
+        let text = "Kids (ID str not null, name str, FamilyIncome int)";
+        assert_eq!(parse_declaration(text).unwrap(), kids());
+        assert_eq!(kids().to_string(), text);
+        // keywords of the declaration are case-insensitive, types are not
+        let loud = parse_declaration("Kids (ID str NOT NULL, name str, FamilyIncome int)");
+        assert_eq!(loud.unwrap(), kids());
+        assert!(parse_declaration("Kids (ID STR)").is_err());
+    }
+
+    #[test]
+    fn quoted_declaration_names_round_trip() {
+        let schema = RelSchema::new(
+            "Kid s",
+            vec![
+                Attribute::not_null("ID col", DataType::Str),
+                Attribute::new("end", DataType::Bool),
+                Attribute::new("say \"hi\"", DataType::Float),
+                Attribute::new("null", DataType::Int),
+                Attribute::new("from", DataType::Str),
+            ],
+        )
+        .unwrap();
+        let text = schema.to_string();
+        assert_eq!(
+            text,
+            "\"Kid s\" (\"ID col\" str not null, \"end\" bool, \"say \"\"hi\"\"\" float, \
+             \"null\" int, from str)"
+        );
+        assert_eq!(parse_declaration(&text).unwrap(), schema);
+        // a keyword or a name with a space must be quoted
+        assert!(parse_declaration("T (end int)").is_err());
+        assert!(parse_declaration("Kid s (a int)").is_err());
+    }
+
+    #[test]
+    fn empty_attribute_lists_round_trip() {
+        let schema = RelSchema::new("T", vec![]).unwrap();
+        assert_eq!(schema.to_string(), "T ()");
+        assert_eq!(parse_declaration("T ()").unwrap(), schema);
+    }
+
+    #[test]
+    fn declaration_errors_point_at_the_offending_token() {
+        for (text, needle) in [
+            ("", "target schema needs"),
+            ("Kids", "target schema needs"),
+            ("Kids ID str", "target schema needs"),
+            ("Kids (ID str", "missing closing `)`"),
+            ("Kids (ID)", "attribute `ID` missing type"),
+            ("Kids (ID str,)", "empty attribute"),
+            ("Kids (ID frobs)", "unknown type `frobs`"),
+            ("Kids (ID \"str\")", "unknown type `str`"),
+            (
+                "Kids (ID str zesty)",
+                "unexpected attribute modifier `zesty`",
+            ),
+            ("Kids (ID str not)", "unexpected attribute modifier `not`"),
+            ("Kids (ID str, ID int)", "duplicate attribute `ID`"),
+            ("(a int)", "expected a target relation name"),
+            ("\"Kids (a int)", "unterminated quoted identifier"),
+            ("Kids (a int) extra", "unexpected trailing input `extra`"),
+        ] {
+            let err = parse_declaration(text).unwrap_err().to_string();
+            assert!(err.contains(needle), "for {text:?}: got {err}");
+        }
+        for (text, at) in [
+            ("Kids (ID col str)", "line 1, column 10"),
+            ("Kids", "line 1, column 1"),
+            ("Kids ID str", "line 1, column 6"),
+            ("Kids (ID str", "line 1, column 6"),
+            ("Kids (ID str,)", "line 1, column 6"),
+            ("Kids (ID str not)", "line 1, column 14"),
+        ] {
+            let err = parse_declaration(text).unwrap_err().to_string();
+            assert!(err.contains(at), "for {text:?}: got {err}");
+        }
+        let err = parse_declaration("Kids (ID col str)")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown type `col`"), "{err}");
     }
 
     #[test]

@@ -140,21 +140,29 @@ impl RelSchema {
             attrs: self.attrs.clone(),
         }
     }
+
+    /// Render the declaration `Name (attr type [not null], ...)` that
+    /// [`crate::parser::parse_declaration`] reads back, writing every
+    /// name through `quote`. `Display` quotes with [`format_ident`]; a
+    /// language whose own keywords must stay names passes a stricter
+    /// quoting function.
+    #[must_use]
+    pub fn declaration(&self, quote: impl Fn(&str) -> String) -> String {
+        let attrs: Vec<String> = self
+            .attrs
+            .iter()
+            .map(|a| {
+                let not_null = if a.not_null { " not null" } else { "" };
+                format!("{} {}{not_null}", quote(&a.name), a.ty)
+            })
+            .collect();
+        format!("{} ({})", quote(&self.name), attrs.join(", "))
+    }
 }
 
 impl fmt::Display for RelSchema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", format_ident(&self.name))?;
-        for (i, a) in self.attrs.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{}: {}", format_ident(&a.name), a.ty)?;
-            if a.not_null {
-                f.write_str(" not null")?;
-            }
-        }
-        f.write_str(")")
+        f.write_str(&self.declaration(format_ident))
     }
 }
 
@@ -430,7 +438,7 @@ mod tests {
         let s = children();
         assert_eq!(
             s.to_string(),
-            "Children(ID: str not null, name: str, age: int)"
+            "Children (ID str not null, name str, age int)"
         );
     }
 

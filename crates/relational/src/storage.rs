@@ -20,8 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 use clio_pager::{HeapWriter, Pager};
 
-use crate::constraints::Constraints;
-use crate::csv::{parse_manifest, schema_manifest};
+use crate::csv::{read_manifest, relation_file, schema_manifest, MANIFEST_FILE};
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::index::{Occurrence, ValueIndex};
@@ -32,10 +31,8 @@ use crate::value::Value;
 /// File name of the persisted value index inside a paged directory.
 pub const INDEX_FILE: &str = "_index.clh";
 
-/// Heap-file name for a relation.
-fn heap_name(relation: &str) -> String {
-    format!("{relation}.clh")
-}
+/// Extension of a relation's heap file, `<Relation>.clh`.
+const HEAP_EXT: &str = "clh";
 
 /// Value tags shared with `clio-incr`'s disk cache idiom.
 const TAG_NULL: u8 = 0;
@@ -231,11 +228,14 @@ fn degraded(path: &Path, detail: impl Into<String>) -> Error {
 /// [`Error::Invalid`] wrapping the underlying I/O or pager failure.
 pub fn save_database(db: &Database, dir: &Path, page_size: usize) -> Result<()> {
     let io_err = |e: &dyn std::fmt::Display| Error::Invalid(format!("db save: {e}"));
+    let files: Vec<PathBuf> = db
+        .relations()
+        .map(|rel| relation_file(dir, rel.name(), HEAP_EXT))
+        .collect::<Result<_>>()?;
     std::fs::create_dir_all(dir).map_err(|e| io_err(&e))?;
-    std::fs::write(dir.join("_schema.txt"), schema_manifest(db)).map_err(|e| io_err(&e))?;
-    for rel in db.relations() {
-        let mut w = HeapWriter::create(&dir.join(heap_name(rel.name())), page_size)
-            .map_err(|e| io_err(&e))?;
+    std::fs::write(dir.join(MANIFEST_FILE), schema_manifest(db)).map_err(|e| io_err(&e))?;
+    for (rel, file) in db.relations().zip(&files) {
+        let mut w = HeapWriter::create(file, page_size).map_err(|e| io_err(&e))?;
         for row in rel.rows() {
             w.append(&encode_row(row)).map_err(|e| io_err(&e))?;
         }
@@ -272,31 +272,27 @@ pub fn save_database(db: &Database, dir: &Path, page_size: usize) -> Result<()> 
 /// corrupt (each defect also logged and counted in
 /// `pager.load_errors`).
 pub fn open_paged(dir: &Path, pool_pages: usize) -> Result<Database> {
-    let manifest = std::fs::read_to_string(dir.join("_schema.txt")).map_err(|e| {
-        Error::Invalid(format!(
-            "cannot open paged database `{}`: {e}",
-            dir.display()
-        ))
-    })?;
-    let (schemas, keys, fks) = parse_manifest(&manifest)?;
+    let (schemas, constraints) = read_manifest(dir)?;
+    let paths: Vec<PathBuf> = (schemas.iter())
+        .map(|s| relation_file(dir, s.name(), HEAP_EXT))
+        .collect::<Result<_>>()?;
     let pager = Pager::new(pool_pages);
     let mut files = Vec::with_capacity(schemas.len());
     let mut row_counts = Vec::with_capacity(schemas.len());
-    for schema in &schemas {
-        let path = dir.join(heap_name(schema.name()));
+    for (schema, path) in schemas.iter().zip(&paths) {
         let file = pager
-            .open(&path)
+            .open(path)
             .map_err(|e| Error::Invalid(format!("cannot open paged database: {e}")))?;
         let mut rows: u64 = 0;
         for rec in pager.cursor(file) {
             let rec =
                 rec.map_err(|e| Error::Invalid(format!("cannot open paged database: {e}")))?;
-            decode_row(&rec, schema).map_err(|d| degraded(&path, d))?;
+            decode_row(&rec, schema).map_err(|d| degraded(path, d))?;
             rows += 1;
         }
         if rows != pager.record_count(file) {
             return Err(degraded(
-                &path,
+                path,
                 format!(
                     "header claims {} records, file holds {rows}",
                     pager.record_count(file)
@@ -312,19 +308,26 @@ pub fn open_paged(dir: &Path, pool_pages: usize) -> Result<Database> {
             dir: dir.to_path_buf(),
             pager,
             schemas,
+            paths,
             files,
             row_counts,
             cells,
             index_cell: OnceLock::new(),
         }),
     };
-    Ok(Database::from_paged(
-        paged,
-        Constraints {
-            keys,
-            foreign_keys: fks,
-        },
-    ))
+    Ok(Database::from_paged(paged, constraints))
+}
+
+/// Does the database directory `dir` hold the paged layout, not CSV
+/// files — does any relation its manifest names have a heap file? The
+/// optional value index never decides, and a name no heap file may
+/// carry (a reserved or non-plain one) is left for the opener to report.
+/// Fails only on a manifest that cannot be read or parsed.
+pub fn is_paged(dir: &Path) -> Result<bool> {
+    let (schemas, _) = read_manifest(dir)?;
+    Ok(schemas
+        .iter()
+        .any(|s| relation_file(dir, s.name(), HEAP_EXT).is_ok_and(|file| file.exists())))
 }
 
 /// The paged backend behind a [`Database`]: heap files plus lazily
@@ -340,6 +343,8 @@ struct PagedInner {
     dir: PathBuf,
     pager: Pager,
     schemas: Vec<RelSchema>,
+    /// Each relation's heap file, as [`relation_file`] names it.
+    paths: Vec<PathBuf>,
     files: Vec<clio_pager::FileId>,
     row_counts: Vec<u64>,
     /// Per-relation materialization cell: `None` after a failed load
@@ -414,19 +419,19 @@ impl PagedStorage {
 
     fn load_relation(&self, i: usize) -> Option<Relation> {
         let inner = &*self.inner;
-        let path = inner.dir.join(heap_name(inner.schemas[i].name()));
+        let path = &inner.paths[i];
         let mut rel = Relation::empty(inner.schemas[i].clone());
         for rec in inner.pager.cursor(inner.files[i]) {
             let rec = rec.ok()?; // pager already logged + counted
             let row = match decode_row(&rec, rel.schema()) {
                 Ok(row) => row,
                 Err(detail) => {
-                    let _ = degraded(&path, detail);
+                    let _ = degraded(path, detail);
                     return None;
                 }
             };
             if let Err(e) = rel.insert(row) {
-                let _ = degraded(&path, e.to_string());
+                let _ = degraded(path, e.to_string());
                 return None;
             }
         }
@@ -581,7 +586,7 @@ mod tests {
     fn corrupt_heap_file_fails_open_with_a_typed_error() {
         let dir = tmp_dir("badheap");
         save_database(&sample_db(), &dir, DEFAULT_PAGE_SIZE).unwrap();
-        let path = dir.join(heap_name("Other"));
+        let path = dir.join("Other.clh");
         let mut bytes = std::fs::read(&path).unwrap();
         let len = bytes.len();
         bytes.truncate(len - 16);
@@ -596,7 +601,7 @@ mod tests {
         let dir = tmp_dir("promote");
         let db = sample_db();
         save_database(&db, &dir, DEFAULT_PAGE_SIZE).unwrap();
-        let before = std::fs::read(dir.join(heap_name("Other"))).unwrap();
+        let before = std::fs::read(dir.join("Other.clh")).unwrap();
         let mut back = open_paged(&dir, 4).unwrap();
         back.relation_mut("Other")
             .unwrap()
@@ -608,7 +613,7 @@ mod tests {
             "edit must leave the paged backend"
         );
         assert_eq!(
-            std::fs::read(dir.join(heap_name("Other"))).unwrap(),
+            std::fs::read(dir.join("Other.clh")).unwrap(),
             before,
             "source directory must be untouched by edits"
         );
@@ -633,6 +638,68 @@ mod tests {
         }
         std::fs::remove_dir_all(&a).ok();
         std::fs::remove_dir_all(&b).ok();
+    }
+
+    #[test]
+    fn quoted_names_round_trip_through_the_manifest() {
+        let dir = tmp_dir("quoted");
+        let mut db = Database::new();
+        let rel = RelationBuilder::new("Kid s")
+            .attr_not_null("ID col", DataType::Str)
+            .attr("end", DataType::Int)
+            .row(vec!["1".into(), 2i64.into()])
+            .build()
+            .unwrap();
+        db.add_relation(rel).unwrap();
+        db.constraints.keys.push(Key::new("Kid s", vec!["ID col"]));
+        save_database(&db, &dir, DEFAULT_PAGE_SIZE).unwrap();
+        assert_eq!(open_paged(&dir, 4).unwrap(), db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A one-relation database whose relation is named `name`.
+    fn named_db(name: &str) -> Database {
+        let mut db = Database::new();
+        let rel = RelationBuilder::new(name)
+            .attr("a", DataType::Str)
+            .row(vec!["x".into()])
+            .build()
+            .unwrap();
+        db.add_relation(rel).unwrap();
+        db
+    }
+
+    #[test]
+    fn a_relation_name_cannot_escape_the_directory() {
+        let root = tmp_dir("escape");
+        let inner = root.join("inner");
+        let err = save_database(&named_db("../evil"), &inner, DEFAULT_PAGE_SIZE).unwrap_err();
+        assert!(matches!(err, Error::BadRelationFile { .. }), "{err}");
+        assert!(!inner.exists(), "a rejected save writes nothing");
+        assert!(!root.join("evil.clh").exists());
+        // a manifest naming one fails to open, even with the file in place
+        save_database(&named_db("evil"), &root, DEFAULT_PAGE_SIZE).unwrap();
+        std::fs::create_dir_all(&inner).unwrap();
+        std::fs::write(inner.join(MANIFEST_FILE), "relation \"../evil\" (a str)\n").unwrap();
+        let err = open_paged(&inner, 4).unwrap_err();
+        assert!(matches!(err, Error::BadRelationFile { .. }), "{err}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_relation_cannot_overwrite_the_value_index() {
+        let dir = tmp_dir("reserved");
+        let err = save_database(&named_db("_index"), &dir, DEFAULT_PAGE_SIZE).unwrap_err();
+        assert!(matches!(err, Error::BadRelationFile { .. }), "{err}");
+        assert!(!dir.join(INDEX_FILE).exists());
+        // ... yet a CSV directory may hold a relation of that name: it
+        // is not paged, and only the paged opener refuses it
+        crate::csv::write_database(&named_db("_index"), &dir).unwrap();
+        assert!(!is_paged(&dir).unwrap());
+        assert!(crate::csv::read_database(&dir).is_ok());
+        let err = open_paged(&dir, 4).unwrap_err();
+        assert!(matches!(err, Error::BadRelationFile { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn main() -> Result<()> {
                 "spawned an alternative mapping (replacing `{}`):",
                 replaced.expr
             );
-            println!("{alternative}");
+            print!("{}", clio_lang::print_mapping(&alternative));
             println!(
                 "reused correspondences: {}",
                 alternative.correspondences.len()

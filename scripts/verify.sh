@@ -410,8 +410,9 @@ echo "    net.accepted = $net_accepted, net.frame_errors = $net_frame_errors, ca
 
 # Tier 2h: paged-backend gate (PR 9, docs/storage.md). The paper
 # database is spilled to a paged on-disk directory by the shell's own
-# `db save`, then the demo replays over it with --db-dir and a buffer
-# pool (2 pages) far smaller than the heap files, so relations stream
+# `db save`, then the demo replays over it with --source (which finds
+# the paged layout by its heap files) and a buffer pool (2 pages) far
+# smaller than the heap files, so relations stream
 # through the pager instead of loading as a unit. The paged stdout must
 # be byte-identical to the plain serial run from tier 2c (the storage
 # backend is answer-invisible), and so must each chunk of a tier-2c
@@ -420,23 +421,23 @@ echo "    net.accepted = $net_accepted, net.frame_errors = $net_frame_errors, ca
 # pager.evictions > 0 (the 2-page pool actually bounded memory) — and
 # that the read path was clean (pager.load_errors == 0; a nonzero count
 # means a checksum or framing fault degraded a page to a logged error).
-echo "==> paged-backend gate (db save + demo.clio over --db-dir, pool 2)"
-tmp_db_dir="$(mktemp -d)"
+echo "==> paged-backend gate (db save + demo.clio over --source, pool 2)"
+tmp_paged_dir="$(mktemp -d)"
 tmp_paged_out="$(mktemp)"
 tmp_paged_metrics="$(mktemp)"
 tmp_save_script="$(mktemp)"
-{ echo "db save $tmp_db_dir/pg"; echo quit; } > "$tmp_save_script"
+{ echo "db save $tmp_paged_dir/pg"; echo quit; } > "$tmp_save_script"
 target/release/clio-shell --script "$tmp_save_script" >/dev/null
 target/release/clio-shell \
     --script examples/scripts/demo.clio --threads 1 \
-    --db-dir "$tmp_db_dir/pg" --db-pool 2 > "$tmp_paged_out"
+    --source "$tmp_paged_dir/pg" --db-pool 2 > "$tmp_paged_out"
 if ! diff -u "$tmp_serial_out" "$tmp_paged_out"; then
     echo "verify: FAILED — paged-backend run diverged from the plain serial run" >&2
-    rm -rf "$tmp_db_dir"; rm -f "$tmp_paged_out" "$tmp_paged_metrics" "$tmp_save_script"
+    rm -rf "$tmp_paged_dir"; rm -f "$tmp_paged_out" "$tmp_paged_metrics" "$tmp_save_script"
     exit 1
 fi
 target/release/clio-shell \
-    --sessions 4 --threads 1 --db-dir "$tmp_db_dir/pg" --db-pool 2 \
+    --sessions 4 --threads 1 --source "$tmp_paged_dir/pg" --db-pool 2 \
     examples/scripts/demo.clio examples/scripts/demo.clio \
     examples/scripts/demo.clio examples/scripts/demo.clio \
     | awk -v dir="$tmp_chunk_dir" '
@@ -445,18 +446,18 @@ target/release/clio-shell \
 for i in 0 1 2 3; do
     if ! diff -u "$tmp_serial_out" "$tmp_chunk_dir/paged$i"; then
         echo "verify: FAILED — paged concurrent session $i diverged from the serial demo run" >&2
-        rm -rf "$tmp_db_dir"; rm -f "$tmp_paged_out" "$tmp_paged_metrics" "$tmp_save_script"
+        rm -rf "$tmp_paged_dir"; rm -f "$tmp_paged_out" "$tmp_paged_metrics" "$tmp_save_script"
         exit 1
     fi
 done
 target/release/clio-shell \
     --script examples/scripts/demo.clio --threads 1 \
-    --db-dir "$tmp_db_dir/pg" --db-pool 2 \
+    --source "$tmp_paged_dir/pg" --db-pool 2 \
     --metrics "$tmp_paged_metrics" >/dev/null
 pager_misses="$(counter "$tmp_paged_metrics" 'pager\.misses' | head -n 1)"
 pager_evictions="$(counter "$tmp_paged_metrics" 'pager\.evictions' | head -n 1)"
 pager_load_errors="$(counter "$tmp_paged_metrics" 'pager\.load_errors' | head -n 1)"
-rm -rf "$tmp_db_dir"; rm -f "$tmp_paged_out" "$tmp_paged_metrics" "$tmp_save_script"
+rm -rf "$tmp_paged_dir"; rm -f "$tmp_paged_out" "$tmp_paged_metrics" "$tmp_save_script"
 if [ "${pager_misses:-0}" -eq 0 ]; then
     echo "verify: FAILED — paged run recorded no pager misses (nothing streamed from disk)" >&2
     exit 1
@@ -473,47 +474,42 @@ echo "    paged demo + 4 concurrent paged sessions byte-identical; pager.misses 
 
 # Tier 2i: planner / MAP-language gate (docs/planner.md). One cyclic
 # mapping (three-node cycle plus a pushable source filter), checked in
-# as examples/scripts/kids_cycle.map, is loaded through both loading
-# commands — `load F` and `map load F` — and evaluated by the plan
-# executor, the only evaluation pipeline. A Rust test
-# (`verify_gate_map_file_is_the_hand_built_cycle` in crates/lang) pins
-# that the file parses to the same mapping built by hand with
+# as examples/scripts/kids_cycle.map, is loaded with `load F` and
+# evaluated by the plan executor, the only evaluation pipeline. A Rust
+# test (`verify_gate_map_file_is_the_hand_built_cycle` in crates/lang)
+# pins that the file parses to the same mapping built by hand with
 # QueryGraph/ValueCorrespondence, so every leg below evaluates exactly
 # that mapping. The legs' stdout (prompt-echo lines stripped, since the
 # commands differ textually) must be byte-identical:
-#   * `load F` vs `map load F`: the two commands are one handler;
 #   * a mapping written by `save G` in one process and reloaded with
 #     `load G` in a fresh one: MAP round-trips through the file, so its
-#     `map show`, target, and plan all equal the first run's;
+#     `mapping`, target, and plan all equal the first run's;
 #   * `--threads 2`: scheduling is answer-invisible;
 #   * `--no-cache`: caching is answer-invisible. The one exemption is
 #     the warmth annotation closing each `explain` branch line
 #     (`[warm]` with the cache on, `[est N]` without), which reports
 #     cache state by design and is masked for this diff only.
-# Each script also runs `map show` and `explain` (must render a plan
+# Each script also runs `mapping` and `explain` (must render a plan
 # tree). A metrics replay then pins that the rewrite really fired:
 # plan.pushed_filters > 0 (the filter was pushed below the union) and
 # plan.evals > 0 (evaluation ran through the plan executor). The
 # executor's agreement with the definitional oracles is checked by the
 # `executor_matches_reference_oracles` proptest. Regenerate nothing —
 # this gate has no golden file; equality is between live runs.
-echo "==> planner gate (load vs map load vs save+load, --no-cache, --threads 2, pushdown counters)"
+echo "==> planner gate (load vs save+load, --no-cache, --threads 2, pushdown counters)"
 lang_map=examples/scripts/kids_cycle.map
 tmp_lang_saved="$(mktemp)"
 tmp_lang_script_a="$(mktemp)"
-tmp_lang_script_b="$(mktemp)"
 tmp_lang_script_s="$(mktemp)"
 tmp_lang_script_r="$(mktemp)"
 tmp_lang_out_a="$(mktemp)"
-tmp_lang_out_b="$(mktemp)"
 tmp_lang_out_r="$(mktemp)"
 tmp_lang_out_nc="$(mktemp)"
 tmp_lang_out_t2="$(mktemp)"
 tmp_plan_metrics="$(mktemp)"
-lang_checks() { echo target; echo "map show"; echo explain; echo quit; }
+lang_checks() { echo target; echo mapping; echo explain; echo quit; }
 { echo "load $lang_map"; lang_checks; } > "$tmp_lang_script_a"
-{ echo "map load $lang_map"; lang_checks; } > "$tmp_lang_script_b"
-{ echo "map load $lang_map"; echo "save $tmp_lang_saved"; echo quit; } > "$tmp_lang_script_s"
+{ echo "load $lang_map"; echo "save $tmp_lang_saved"; echo quit; } > "$tmp_lang_script_s"
 { echo "load $tmp_lang_saved"; lang_checks; } > "$tmp_lang_script_r"
 run_and_strip() { # $3... flags; stdout has prompt-echo lines removed
     script="$1"; out="$2"; shift 2
@@ -522,11 +518,10 @@ run_and_strip() { # $3... flags; stdout has prompt-echo lines removed
 }
 target/release/clio-shell --script "$tmp_lang_script_s" --threads 1 >/dev/null
 run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_a" --threads 1
-run_and_strip "$tmp_lang_script_b" "$tmp_lang_out_b" --threads 1
 run_and_strip "$tmp_lang_script_r" "$tmp_lang_out_r" --threads 1
 run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_nc" --threads 1 --no-cache
 run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_t2" --threads 2
-for pair in "$tmp_lang_out_b:map-load" "$tmp_lang_out_r:save+load" "$tmp_lang_out_t2:two-thread"; do
+for pair in "$tmp_lang_out_r:save+load" "$tmp_lang_out_t2:two-thread"; do
     other="${pair%%:*}"
     label="${pair##*:}"
     if ! diff -u "$tmp_lang_out_a" "$other"; then
@@ -535,7 +530,7 @@ for pair in "$tmp_lang_out_b:map-load" "$tmp_lang_out_r:save+load" "$tmp_lang_ou
     fi
 done
 if ! grep -q '^MAP Kids ' "$tmp_lang_out_a"; then
-    echo "verify: FAILED — map show printed no MAP statement" >&2
+    echo "verify: FAILED — mapping printed no MAP statement" >&2
     exit 1
 fi
 # mask the trailing `[...]` warmth annotation of explain branch lines
@@ -549,12 +544,12 @@ if ! grep -q '^plan for Kids' "$tmp_lang_out_a"; then
     echo "verify: FAILED — explain printed no plan tree" >&2
     exit 1
 fi
-target/release/clio-shell --script "$tmp_lang_script_b" --threads 1 \
+target/release/clio-shell --script "$tmp_lang_script_a" --threads 1 \
     --metrics "$tmp_plan_metrics" >/dev/null
 plan_pushed="$(counter "$tmp_plan_metrics" 'plan\.pushed_filters' | head -n 1)"
 plan_evals="$(counter "$tmp_plan_metrics" 'plan\.evals' | head -n 1)"
-rm -f "$tmp_lang_saved" "$tmp_lang_script_a" "$tmp_lang_script_b" "$tmp_lang_script_s" \
-    "$tmp_lang_script_r" "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_lang_out_r" \
+rm -f "$tmp_lang_saved" "$tmp_lang_script_a" "$tmp_lang_script_s" \
+    "$tmp_lang_script_r" "$tmp_lang_out_a" "$tmp_lang_out_r" \
     "$tmp_lang_out_nc" "$tmp_lang_out_t2" "$tmp_plan_metrics"
 if [ "${plan_pushed:-0}" -eq 0 ]; then
     echo "verify: FAILED — default run pushed no filters (plan.pushed_filters = ${plan_pushed:-none})" >&2
@@ -564,6 +559,6 @@ if [ "${plan_evals:-0}" -eq 0 ]; then
     echo "verify: FAILED — default run recorded no plan evaluations (plan.evals = ${plan_evals:-none})" >&2
     exit 1
 fi
-echo "    load == map load == save+load == --threads 2 == --no-cache (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
+echo "    load == save+load == --threads 2 == --no-cache (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
 
 echo "verify: OK"

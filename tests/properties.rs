@@ -891,6 +891,29 @@ proptest! {
         let _ = parse_expr(&text); // must not panic
     }
 
+    /// The schema-declaration and `_schema.txt` manifest parsers never
+    /// panic either, on arbitrary strings or on manifest-shaped soup.
+    #[test]
+    fn schema_parsers_are_total(
+        s in "\\PC{0,60}",
+        tokens in proptest::collection::vec(
+            prop_oneof![
+                Just("relation"), Just("key"), Just("fk"), Just("->"), Just("("),
+                Just(")"), Just(","), Just("\n"), Just("#"), Just("\""), Just("R"),
+                Just("\"a b\""), Just("int"), Just("str"), Just("not"), Just("null"),
+                Just("-"), Just("'"),
+            ],
+            0..16,
+        ),
+    ) {
+        use clio::relational::parser::parse_schema_manifest;
+        let soup = tokens.join(" ");
+        for text in [s.as_str(), soup.as_str()] {
+            let _ = parse_declaration(text); // must not panic
+            let _ = parse_schema_manifest(text);
+        }
+    }
+
     /// `parse(display(e)) == e` for arbitrary expressions.
     #[test]
     fn expression_display_parse_round_trip(e in expr_strategy()) {
@@ -1021,17 +1044,91 @@ fn executor_matches_oracles_on_a_pushed_four_cycle() {
 }
 
 /// Identifier pool for the language round-trip: plain names, language
-/// and expression keywords, whitespace- and quote-bearing names —
-/// everything the printers must quote for a reparse to survive.
+/// and expression keywords, whitespace-, quote- and non-ASCII-bearing
+/// names — everything the printers must quote for a reparse to survive.
 fn odd_name() -> impl Strategy<Value = String> {
     prop_oneof![
         "[A-Za-z][A-Za-z0-9_]{0,6}".prop_map(|s: String| s),
         Just("from".to_owned()),
         Just("SELECT".to_owned()),
+        Just("end".to_owned()),
+        Just("Null".to_owned()),
         Just("not null".to_owned()),
         Just("weird rel".to_owned()),
+        Just("ID col".to_owned()),
+        Just("a, b".to_owned()),
         Just("qu\"ote".to_owned()),
+        Just("Kïds ünd".to_owned()),
+        Just("名前".to_owned()),
     ]
+}
+
+/// An arbitrary relation schema over [`odd_name`]s: zero to four
+/// attributes of any type, nullable or not (duplicate names dropped).
+fn rel_schema() -> impl Strategy<Value = RelSchema> {
+    let ty = prop_oneof![
+        Just(DataType::Int),
+        Just(DataType::Float),
+        Just(DataType::Str),
+        Just(DataType::Bool),
+    ];
+    let attr = (odd_name(), ty, proptest::bool::ANY);
+    (odd_name(), proptest::collection::vec(attr, 0..5)).prop_map(|(name, attrs)| {
+        let mut seen = Vec::new();
+        let attrs = attrs
+            .into_iter()
+            .filter(|(a, _, _)| {
+                !seen.contains(a) && {
+                    seen.push(a.clone());
+                    true
+                }
+            })
+            .map(|(a, ty, not_null)| Attribute {
+                name: a,
+                ty,
+                not_null,
+            })
+            .collect();
+        RelSchema::new(name, attrs).unwrap()
+    })
+}
+
+/// A database of `schemas` (duplicate relation names dropped), two rows
+/// each (none without attributes: an empty tuple is all-null), with a
+/// key on the first relation's first attribute and a foreign key onto
+/// it.
+fn hostile_database(schemas: Vec<RelSchema>) -> Database {
+    let value = |ty: DataType, i: i64| match ty {
+        DataType::Int => Value::Int(i),
+        DataType::Float => Value::Float(i as f64 / 2.0),
+        DataType::Str => Value::str(format!("v, \"{i}\"")),
+        DataType::Bool => Value::Bool(i == 0),
+    };
+    let mut db = Database::new();
+    for schema in schemas {
+        if db.relation(schema.name()).is_ok() {
+            continue;
+        }
+        let rows = (0..2)
+            .filter(|_| schema.arity() > 0)
+            .map(|i| schema.attrs().iter().map(|a| value(a.ty, i)).collect())
+            .collect();
+        db.add_relation(Relation::with_rows(schema, rows).unwrap())
+            .unwrap();
+    }
+    let rels: Vec<&RelSchema> = db.relations().map(|r| r.schema()).collect();
+    if let Some(key) = rels[0].attrs().first() {
+        let (to, to_attr) = (rels[0].name().to_owned(), key.name.clone());
+        let from = rels
+            .iter()
+            .rev()
+            .find(|r| r.attrs().first().is_some_and(|a| a.ty == key.ty))
+            .expect("the first relation qualifies");
+        let fk = ForeignKey::simple(from.name(), &from.attrs()[0].name, &to, &to_attr);
+        db.constraints.keys.push(Key::new(&to, vec![&to_attr]));
+        db.constraints.foreign_keys.push(fk);
+    }
+    db
 }
 
 proptest! {
@@ -1078,6 +1175,8 @@ proptest! {
         t in odd_name(), ta in odd_name(),
         r1 in odd_name(), r2 in odd_name(), alias in odd_name(),
         code in proptest::option::of(odd_name()),
+        schema in rel_schema(),
+        sources in proptest::collection::vec(rel_schema(), 1..4),
     ) {
         prop_assume!(r1 != r2 && alias != r1 && !t.is_empty());
         let target = RelSchema::new(&t, vec![Attribute::new(&ta, DataType::Str)]).unwrap();
@@ -1101,10 +1200,27 @@ proptest! {
         let reparsed = clio_lang::parse_map(&printed)
             .unwrap_or_else(|e| panic!("failed to reparse printed mapping: {e}\n{printed}"));
         prop_assert_eq!(reparsed, m.clone());
-        // the target-schema declaration round-trips on its own too
-        // (the `--target` flag and `_target.txt` use it)
-        let schema = clio_lang::print_target_schema(&m.target);
-        prop_assert_eq!(clio_lang::parse_target_schema(&schema).unwrap(), m.target);
+        // any relation schema round-trips as a declaration on its own
+        // (`--target`, `_target.txt`, a `_schema.txt` relation line) ...
+        let declared = schema.to_string();
+        let reparsed = parse_declaration(&declared)
+            .unwrap_or_else(|e| panic!("failed to reparse `{declared}`: {e}"));
+        prop_assert_eq!(&reparsed, &schema);
+        // ... and as the head of a MAP statement
+        let head = Mapping::new(QueryGraph::new(), schema.clone());
+        prop_assert_eq!(clio_lang::parse_map(&clio_lang::print_mapping(&head)).unwrap(), head);
+        // a database of such relations, with a key and a foreign key,
+        // reopens from either directory layout
+        let db = hostile_database(sources);
+        let dir = std::env::temp_dir().join(format!("clio_prop_hostile_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        clio::relational::storage::save_database(&db, &dir.join("paged"), 256).unwrap();
+        let paged = clio::relational::storage::open_paged(&dir.join("paged"), 2);
+        clio::relational::csv::write_database(&db, &dir.join("csv")).unwrap();
+        let csv = clio::relational::csv::read_database(&dir.join("csv"));
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(&paged.unwrap(), &db);
+        prop_assert_eq!(&csv.unwrap(), &db);
     }
 }
 
